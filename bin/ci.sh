@@ -1,7 +1,8 @@
 #!/bin/sh
-# CI smoke test: full build, the tier-1 test suite (run twice: once as
-# configured, once with a 2-job ambient pool so every job-invariance
-# contract is exercised under real worker domains), a bounded fuzz
+# CI smoke test: full build, the tier-1 test suite (run three times:
+# as configured, then under PIGEON_JOBS=1 and PIGEON_JOBS=2 so every
+# job-invariance contract is exercised with and without worker
+# domains), a bounded fuzz
 # pass over the front-ends and model loaders, the fault-injection
 # bench (10%-corrupt corpora must train with exact skip tallies), the
 # parallel-scaling bench (regenerates BENCH_parallel.json; determinism
@@ -19,7 +20,8 @@
 # (hostile-request isolation, daemon byte-identity), the netio
 # edge-case tests, the bounded chaos harness (fault injection: torn
 # replies, engine errors, accept drops, overload, reload under load),
-# a live daemon smoke (train a model, start `pigeon serve` on a Unix
+# exit-code checks for out-of-range numeric CLI flags, a live daemon
+# smoke (train a model, start `pigeon serve` on a Unix
 # socket, mixed well-formed/hostile burst through `pigeon client`,
 # clean shutdown), lifecycle smokes (wire + SIGHUP hot reload,
 # SIGTERM drain with socket unlink, client exit-code contract, fail-
@@ -44,9 +46,9 @@ set -eu
 cd "$(dirname "$0")/.."
 
 dune build
-dune runtest
-PIGEON_JOBS=2 dune exec test/test_parallel.exe
-PIGEON_JOBS=2 dune exec test/test_core.exe
+dune runtest --force
+PIGEON_JOBS=1 dune runtest --force
+PIGEON_JOBS=2 dune runtest --force
 PIGEON_FUZZ_COUNT=400 dune exec test/test_fuzz.exe
 dune exec bench/main.exe -- --quick fault
 dune exec bench/main.exe -- --quick parallel
@@ -126,6 +128,27 @@ echo "serve smoke: ok"
 # The binary is invoked directly (dune build above produced it) so the
 # daemon PID is the daemon, not a dune wrapper — signals land for real.
 PIGEON_BIN=_build/default/bin/pigeon_cli.exe
+
+# out-of-range numeric flags are usage errors: a diagnostic and exit 2
+for args in "paths --max-length=0" "paths --max-width=-1"; do
+  set +e
+  # shellcheck disable=SC2086
+  "$PIGEON_BIN" $args "$SMOKE_DIR/corpus/sample_0000.js" 2>/dev/null
+  rc=$?
+  set -e
+  if [ "$rc" -ne 2 ]; then
+    echo "flag smoke: expected exit 2 for $args, got $rc" >&2
+    exit 1
+  fi
+done
+set +e
+"$PIGEON_BIN" gen --files=-1 "$SMOKE_DIR/never" 2>/dev/null
+rc=$?
+set -e
+if [ "$rc" -ne 2 ]; then
+  echo "flag smoke: expected exit 2 for gen --files=-1, got $rc" >&2
+  exit 1
+fi
 
 # a second model to hot-swap in, and a live path the daemon re-reads on SIGHUP
 "$PIGEON_BIN" train --files 40 -j 1 "$SMOKE_DIR/model2.crf"

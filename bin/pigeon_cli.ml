@@ -83,6 +83,16 @@ let handle_parse_errors f =
       Format.eprintf "error:%a@." Lexkit.Diag.pp d;
       exit 1
 
+(* Numeric flags are range-checked in the command body, not by a
+   converter (whose failure exits 124): an out-of-range value is a
+   usage error like any other here — a diagnostic on stderr and exit
+   2, never an uncaught exception. *)
+let require_at_least ~flag min v =
+  if v < min then begin
+    Format.eprintf "error: --%s must be at least %d, got %d@." flag min v;
+    exit 2
+  end
+
 (* ---------- paths ---------- *)
 
 let length_arg =
@@ -93,6 +103,8 @@ let width_arg =
 
 let paths_cmd =
   let run lang file max_length max_width =
+    require_at_least ~flag:"max-length" 1 max_length;
+    require_at_least ~flag:"max-width" 0 max_width;
     handle_parse_errors @@ fun () ->
     let tree = lang.Pigeon.Lang.parse_tree (read_file file) in
     let idx = Ast.Index.build tree in
@@ -132,6 +144,7 @@ let gen_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR")
   in
   let run lang n seed dir =
+    require_at_least ~flag:"files" 0 n;
     handle_parse_errors @@ fun () ->
     let config = { Corpus.Gen.default with Corpus.Gen.n_files = n; seed } in
     let sources =
@@ -159,6 +172,7 @@ let rename_cmd =
       & info [ "train-files" ] ~doc:"Synthetic training corpus size.")
   in
   let run lang n jobs file =
+    require_at_least ~flag:"train-files" 0 n;
     handle_parse_errors @@ fun () ->
     let pool = pool_of_jobs jobs in
     let config = { Corpus.Gen.default with Corpus.Gen.n_files = n; seed = 42 } in
@@ -238,6 +252,7 @@ let train_cmd =
   let graphs_for_budget mb = max 16 (mb * 64) in
   let pairs_for_budget mb = max 1024 (mb * 2048) in
   let run lang n w2v shard_dir checkpoint resume max_heap_mb jobs out =
+    require_at_least ~flag:"files" 0 n;
     handle_parse_errors @@ fun () ->
     (match (checkpoint, resume, shard_dir) with
     | Some _, _, None | None, true, _ ->

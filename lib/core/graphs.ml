@@ -54,12 +54,82 @@ let elem_of idx leaf =
       Option.map (fun v -> Literal v) (Ast.Index.value idx leaf)
   | Some Ast.Tree.Kw | None -> None
 
+(* The two outputs graph construction feeds: the string graph
+   (training, shard files, [build]/[build_cached]) and the encoded
+   graph (serving). Nodes are numbered in [node] call order. *)
+type 'g sink = {
+  node : gold:string -> unknown:bool -> unit;
+  unary : n:int -> Astpath.Context.t -> unit;
+  pairwise : a:int -> b:int -> Astpath.Context.t -> unit;
+  finish : unit -> 'g;
+}
+
+let graph_sink repr =
+  let nodes_rev = ref [] and factors = ref [] and next = ref 0 in
+  let rel_memo = Astpath.Abstraction.memo repr.abstraction in
+  let rel c = Astpath.Abstraction.apply_memo rel_memo c in
+  {
+    node =
+      (fun ~gold ~unknown ->
+        let kind = if unknown then `Unknown else `Known in
+        nodes_rev := { Crf.Graph.id = !next; gold; kind } :: !nodes_rev;
+        incr next);
+    unary = (fun ~n c -> factors := Crf.Graph.unary ~n ~rel:(rel c) :: !factors);
+    pairwise =
+      (fun ~a ~b c -> factors := Crf.Graph.pairwise ~a ~b ~rel:(rel c) :: !factors);
+    finish =
+      (fun () ->
+        Crf.Graph.make ~nodes:(List.rev !nodes_rev) ~factors:(List.rev !factors));
+  }
+
+(* Path id -> relation id of one model, for the path ids of one
+   extraction table: each distinct path is rendered and looked up once.
+   -1 = a relation the model has never seen, -2 = not looked up yet. *)
+type rels = {
+  syms : Crf.Symbols.t;
+  ab : Astpath.Abstraction.t;
+  mutable ids : int array;
+}
+
+let rels ?reuse repr fast =
+  let syms = Crf.Fast.symbols fast in
+  match reuse with
+  | Some r when r.syms == syms && r.ab = repr.abstraction -> r
+  | _ -> { syms; ab = repr.abstraction; ids = Array.make 64 (-2) }
+
+let rel_id r (c : Astpath.Context.t) =
+  let pid = c.Astpath.Context.path_id in
+  if pid >= Array.length r.ids then begin
+    let ids = Array.make (max (2 * Array.length r.ids) (pid + 1)) (-2) in
+    Array.blit r.ids 0 ids 0 (Array.length r.ids);
+    r.ids <- ids
+  end;
+  let v = Array.unsafe_get r.ids pid in
+  if v <> -2 then v
+  else begin
+    let s = Astpath.Abstraction.apply r.ab (Astpath.Context.path c) in
+    let v = Option.value (Crf.Symbols.find_rel r.syms s) ~default:(-1) in
+    r.ids.(pid) <- v;
+    v
+  end
+
+let egraph_sink rels =
+  let b = Crf.Fast.Builder.create rels.syms in
+  {
+    node = (fun ~gold ~unknown -> Crf.Fast.Builder.node b ~gold ~unknown);
+    unary = (fun ~n c -> Crf.Fast.Builder.unary b ~n ~rel:(rel_id rels c));
+    pairwise =
+      (fun ~a ~b:b' c -> Crf.Fast.Builder.pairwise b ~a ~b:b' ~rel:(rel_id rels c));
+    finish = (fun () -> Crf.Fast.Builder.finish b);
+  }
+
 (* Graph construction over a prebuilt index and an abstract context
-   iterator — the one body behind [build] (from-scratch extraction)
-   and [build_cached] (incremental replay). Everything downstream of
-   the iterator is identical, so a cache that emits the from-scratch
-   stream yields the identical graph. *)
-let build_over repr ~def_labels ~policy idx ~iter =
+   iterator — the one body behind every builder: it decides the nodes,
+   the unknowns and which contexts become which factors, and [sink]
+   renders them as a string graph or an encoded one. Everything
+   downstream of the iterator is identical, so a cache that emits the
+   from-scratch stream yields the identical graph. *)
+let build_over repr ~def_labels ~policy idx ~iter sink =
   let leaves = Ast.Index.leaves idx in
   (* Which binders / named groups contain a definition-name leaf? *)
   let def_elems = Hashtbl.create 8 in
@@ -79,10 +149,10 @@ let build_over repr ~def_labels ~policy idx ~iter =
   let internal_only =
     match policy with Methods { internal_only } -> internal_only | Locals -> false
   in
-  (* Assign node ids; record each leaf's node. *)
+  (* Assign node ids; record each leaf's node (-1 = none) and which
+     nodes are unknown. *)
   let elem_ids = Hashtbl.create 64 in
-  let unknown_ids = Hashtbl.create 16 in
-  let nodes_rev = ref [] in
+  let unknown = Array.make (Array.length leaves) false in
   let next = ref 0 in
   let node_of_elem e gold =
     match Hashtbl.find_opt elem_ids e with
@@ -91,12 +161,11 @@ let build_over repr ~def_labels ~policy idx ~iter =
         let id = !next in
         incr next;
         Hashtbl.add elem_ids e id;
-        let kind = if is_unknown e then `Unknown else `Known in
-        if kind = `Unknown then Hashtbl.replace unknown_ids id ();
-        nodes_rev := { Crf.Graph.id; gold; kind } :: !nodes_rev;
+        unknown.(id) <- is_unknown e;
+        sink.node ~gold ~unknown:unknown.(id);
         id
   in
-  let leaf_node = Hashtbl.create 64 in
+  let leaf_node = Array.make (Ast.Index.size idx) (-1) in
   Array.iter
     (fun leaf ->
       match elem_of idx leaf with
@@ -112,59 +181,70 @@ let build_over repr ~def_labels ~policy idx ~iter =
             let gold =
               Option.value (Ast.Index.value idx leaf) ~default:"?"
             in
-            Hashtbl.replace leaf_node leaf (node_of_elem e gold)
+            leaf_node.(leaf) <- node_of_elem e gold
           end)
     leaves;
   (* Path-contexts -> factors, streamed straight off the extraction
      iterator: contexts are never materialized as a list. *)
-  let factors = ref [] in
-  let rel_memo = Astpath.Abstraction.memo repr.abstraction in
   iter (fun (c : Astpath.Context.t) ->
       if keep_context repr c then
-        let rel () = Astpath.Abstraction.apply_memo rel_memo c in
-        let unknown i = Hashtbl.mem unknown_ids i in
-        match
-          ( Hashtbl.find_opt leaf_node c.Astpath.Context.start_node,
-            Hashtbl.find_opt leaf_node c.Astpath.Context.end_node )
-        with
-        | Some a, Some b ->
-            if a = b then begin
-              if repr.use_unary && unknown a then
-                factors := Crf.Graph.unary ~n:a ~rel:(rel ()) :: !factors
-            end
-            else if unknown a || unknown b then
-              factors := Crf.Graph.pairwise ~a ~b ~rel:(rel ()) :: !factors
-        | Some a, None when unknown a ->
-            (* Semi-path (leaf -> ancestor nonterminal): a unary factor —
-               less expressive than a leafwise path but it recurs across
-               programs even when full paths do not (Section 5:
-               "semi-paths provide more generalization"). *)
-            if repr.use_unary then
-              factors := Crf.Graph.unary ~n:a ~rel:(rel ()) :: !factors
-        | _ -> ());
-  Crf.Graph.make ~nodes:(List.rev !nodes_rev) ~factors:(List.rev !factors)
+        let a = leaf_node.(c.Astpath.Context.start_node)
+        and b = leaf_node.(c.Astpath.Context.end_node) in
+        if a >= 0 && b >= 0 then begin
+          if a = b then begin
+            if repr.use_unary && unknown.(a) then sink.unary ~n:a c
+          end
+          else if unknown.(a) || unknown.(b) then sink.pairwise ~a ~b c
+        end
+        else if a >= 0 && unknown.(a) && repr.use_unary then
+          (* Semi-path (leaf -> ancestor nonterminal): a unary factor —
+             less expressive than a leafwise path but it recurs across
+             programs even when full paths do not (Section 5:
+             "semi-paths provide more generalization"). *)
+          sink.unary ~n:a c);
+  sink.finish ()
 
-let build repr ~def_labels ~policy tree =
+let scratch repr ~def_labels ~policy tree sink =
   let idx = Ast.Index.build tree in
-  build_over repr ~def_labels ~policy idx ~iter:(fun f ->
+  build_over repr ~def_labels ~policy idx
+    ~iter:(fun f ->
       (* Leaf occurrences are downsampled before pair enumeration
          (paper §5.5) so dropped occurrences pay no extraction cost. *)
       let rng = Random.State.make [| repr.seed |] in
       Astpath.Extract.iter_all
         ~downsample:(rng, repr.downsample_p)
         idx repr.config f)
+    sink
+
+(* The cache contract covers the full (undownsampled) stream only; a
+   downsampling repr falls back to from-scratch extraction. The serve
+   path uses [default_repr] (p = 1.0), which at p = 1.0 draws nothing
+   and emits the full stream — so the cached and plain builds
+   construct the identical graph. *)
+let cached repr ~def_labels ~policy ~cache tree sink =
+  let idx = Astpath.Cache.index cache tree in
+  build_over repr ~def_labels ~policy idx
+    ~iter:(fun f -> Astpath.Extract.iter_all_cached ~cache idx repr.config f)
+    sink
+
+let build repr ~def_labels ~policy tree =
+  scratch repr ~def_labels ~policy tree (graph_sink repr)
 
 let build_cached repr ~def_labels ~policy ~cache tree =
-  (* The cache contract covers the full (undownsampled) stream only;
-     a downsampling repr falls back to from-scratch extraction. The
-     serve path uses [default_repr] (p = 1.0), which at p = 1.0 draws
-     nothing and emits the full stream — so the cached and plain
-     builds construct the identical graph. *)
   if repr.downsample_p < 1.0 then build repr ~def_labels ~policy tree
-  else
-    let idx = Astpath.Cache.index cache tree in
-    build_over repr ~def_labels ~policy idx ~iter:(fun f ->
-        Astpath.Extract.iter_all_cached ~cache idx repr.config f)
+  else cached repr ~def_labels ~policy ~cache tree (graph_sink repr)
+
+let encode repr ~def_labels ~policy fast tree =
+  scratch repr ~def_labels ~policy tree (egraph_sink (rels repr fast))
+
+let encode_cached repr ~def_labels ~policy ~cache ~rels:r tree =
+  if r.ab <> repr.abstraction then
+    invalid_arg "Graphs.encode_cached: rels made for another abstraction";
+  if repr.downsample_p < 1.0 then
+    (* from-scratch extraction has its own path ids: a fresh memo *)
+    scratch repr ~def_labels ~policy tree
+      (egraph_sink { r with ids = Array.make 64 (-2) })
+  else cached repr ~def_labels ~policy ~cache tree (egraph_sink r)
 
 let full_type_graph repr tree =
   let idx = Ast.Index.build tree in

@@ -48,6 +48,48 @@ val build_cached :
     the from-scratch one); a downsampling repr falls back to {!build}
     — the cache contract covers the full stream only. *)
 
+(** {2 Encoded graphs}
+
+    The request path: the same nodes and factors as {!build}, compiled
+    straight from extraction output against a model's symbol table —
+    no string graph, no relation strings per occurrence, and nothing
+    written to the model. [Crf.Fast.encode m (build ...)] and
+    [encode ... m] are equal, so they predict alike. *)
+
+type rels
+(** Path id → relation id memo of one model, for the path ids of one
+    extraction table: each distinct path is rendered and looked up once
+    per table, not once per occurrence. *)
+
+val rels : ?reuse:rels -> repr -> Crf.Fast.model -> rels
+(** A memo against [model]'s symbol table and [repr]'s abstraction.
+    [reuse] comes back unchanged when it was made for the same table
+    and abstraction — an edit session keeps its memo across edits (its
+    cache keeps path ids stable) and gets a fresh one after its model
+    is reloaded, evicted or revived. *)
+
+val encode :
+  repr ->
+  def_labels:string list ->
+  policy:policy ->
+  Crf.Fast.model ->
+  Ast.Tree.t ->
+  Crf.Fast.egraph
+(** {!build}, encoded against the model. *)
+
+val encode_cached :
+  repr ->
+  def_labels:string list ->
+  policy:policy ->
+  cache:Astpath.Cache.t ->
+  rels:rels ->
+  Ast.Tree.t ->
+  Crf.Fast.egraph
+(** {!build_cached}, encoded against the model [rels] was made for.
+    [rels] must belong to [cache]'s extraction table: one memo per
+    cache. Raises [Invalid_argument] if it was made for another
+    abstraction than [repr]'s. *)
+
 val full_type_graph : repr -> Ast.Tree.t -> Crf.Graph.t
 (** Full-type task over a typed tree (tags ["type:..."]): each tagged
     expression nonterminal is an unknown node whose factors are its

@@ -1,5 +1,12 @@
 type egraph = {
-  graph : Graph.t;
+  names : string array;
+      (* per node: its own string — a known node's label, an unknown
+         node's current name. Replies render from these, so a string
+         the model has never seen needs no id. *)
+  unseen : int;
+      (* the id every label the model has never seen encodes to: one
+         past its label table, so no weight, count or candidate holds
+         it (see [encode]) *)
   unknown : int array;
   is_unknown : bool array;
   gold : int array;
@@ -19,6 +26,7 @@ type egraph = {
 }
 
 let unknown_nodes eg = eg.unknown
+let name eg n = eg.names.(n)
 
 (* Weight keys are packed into single ints: labels get 18 bits each
    and relations 24, so the inner loop allocates nothing and hashes
@@ -39,6 +47,7 @@ type model = {
   un_u : Itbl.t;
   bias_u : Itbl.t;
   mutable steps : int;
+  ready : bool Atomic.t;  (* first use done (see [prepare]) *)
 }
 
 let create ?symbols () =
@@ -51,6 +60,7 @@ let create ?symbols () =
     un_u = Itbl.create 16384;
     bias_u = Itbl.create 512;
     steps = 0;
+    ready = Atomic.make false;
   }
 
 (* A per-domain write target for one parallel training slice: shares
@@ -66,6 +76,7 @@ let delta_of m =
     un_u = Itbl.create 256;
     bias_u = Itbl.create 64;
     steps = 0;
+    ready = Atomic.make false;
   }
 
 let symbols m = m.syms
@@ -84,59 +95,65 @@ let merge_delta m d =
   Itbl.iter (add m.un_u) d.un_u;
   Itbl.iter (add m.bias_u) d.bias_u
 
-let encode m (g : Graph.t) =
-  let n = Array.length g.Graph.nodes in
-  let gold =
-    Array.map (fun (nd : Graph.node) -> Symbols.label m.syms nd.Graph.gold)
-      g.Graph.nodes
+(* Per node, the indices of the factors with an endpoint there, in
+   decreasing factor order: [node_score] and the [Scorer] sum a node's
+   factors in this order, so it is part of every score's bits. [b] is
+   the second endpoint array ([a] itself for unary factors). *)
+let touch_lists n a b =
+  let count = Array.make n 0 in
+  let visit f =
+    Array.iteri
+      (fun fi x ->
+        f fi x;
+        let y = b.(fi) in
+        if y <> x then f fi y)
+      a
   in
-  let is_unknown =
-    Array.map (fun (nd : Graph.node) -> nd.Graph.kind = `Unknown) g.Graph.nodes
+  visit (fun _ v -> count.(v) <- count.(v) + 1);
+  let out = Array.map (fun c -> Array.make c 0) count in
+  visit (fun fi v ->
+      count.(v) <- count.(v) - 1;
+      out.(v).(count.(v)) <- fi);
+  out
+
+(* The encoded graph from its node and factor arrays: the tail shared
+   by [encode] (from a string graph) and [Builder] (straight from
+   extraction). *)
+let assemble ~names ~unseen ~gold ~is_unknown ~pw_a ~pw_b ~pw_rel ~pw_mult
+    ~un_n ~un_rel ~un_mult =
+  let n = Array.length gold in
+  let unknown =
+    Array.of_seq (Seq.filter (Array.get is_unknown) (Seq.init n Fun.id))
   in
-  let unknown = Array.of_list (Graph.unknown_ids g) in
-  let pw = ref [] and un = ref [] in
-  List.iter
-    (fun f ->
-      match f with
-      | Graph.Pairwise { a; b; rel; mult } ->
-          pw := (a, b, Symbols.rel m.syms rel, float_of_int mult) :: !pw
-      | Graph.Unary { n = i; rel; mult } ->
-          un := (i, Symbols.rel m.syms rel, float_of_int mult) :: !un)
-    g.Graph.factors;
-  let pw = Array.of_list (List.rev !pw) and un = Array.of_list (List.rev !un) in
-  let pw_a = Array.map (fun (a, _, _, _) -> a) pw in
-  let pw_b = Array.map (fun (_, b, _, _) -> b) pw in
-  let pw_rel = Array.map (fun (_, _, r, _) -> r) pw in
-  let pw_mult = Array.map (fun (_, _, _, m) -> m) pw in
-  let un_n = Array.map (fun (i, _, _) -> i) un in
-  let un_rel = Array.map (fun (_, r, _) -> r) un in
-  let un_mult = Array.map (fun (_, _, m) -> m) un in
-  let touch_pw_l = Array.make n [] and touch_un_l = Array.make n [] in
-  Array.iteri
-    (fun fi a ->
-      touch_pw_l.(a) <- fi :: touch_pw_l.(a);
-      let b = pw_b.(fi) in
-      if b <> a then touch_pw_l.(b) <- fi :: touch_pw_l.(b))
-    pw_a;
-  Array.iteri (fun fi i -> touch_un_l.(i) <- fi :: touch_un_l.(i)) un_n;
-  let touch_pw = Array.map Array.of_list touch_pw_l in
+  let touch_pw = touch_lists n pw_a pw_b in
   let slot_of = Array.make n (-1) in
   Array.iteri (fun s u -> slot_of.(u) <- s) unknown;
+  (* [mark.(s) = i]: slot [s] already listed for slot [i] — dedupe
+     before sorting, as a slot meets each neighbour over many factors *)
+  let mark = Array.make (Array.length unknown) (-1) in
   let nbr =
-    Array.map
-      (fun u ->
-        let acc = ref [] in
+    Array.mapi
+      (fun i u ->
+        let tp = touch_pw.(u) in
+        let acc = Array.make (Array.length tp) 0 and k = ref 0 in
         Array.iter
           (fun fi ->
             let o = if pw_a.(fi) = u then pw_b.(fi) else pw_a.(fi) in
             let s = slot_of.(o) in
-            if s >= 0 then acc := s :: !acc)
-          touch_pw.(u);
-        Array.of_list (List.sort_uniq Int.compare !acc))
+            if s >= 0 && mark.(s) <> i then begin
+              mark.(s) <- i;
+              acc.(!k) <- s;
+              incr k
+            end)
+          tp;
+        let out = Array.sub acc 0 !k in
+        Array.sort Int.compare out;
+        out)
       unknown
   in
   {
-    graph = g;
+    names;
+    unseen;
     unknown;
     is_unknown;
     gold;
@@ -148,11 +165,226 @@ let encode m (g : Graph.t) =
     un_rel;
     un_mult;
     touch_pw;
-    touch_un = Array.map Array.of_list touch_un_l;
+    touch_un = touch_lists n un_n un_n;
     nbr;
   }
 
-let graph_of eg = eg.graph
+(* Growable factor columns: endpoints, relation id, multiplicity. *)
+type fbuf = {
+  mutable fa : int array;
+  mutable fb : int array;
+  mutable fr : int array;
+  mutable fm : int array;
+  mutable len : int;
+}
+
+let fbuf () = { fa = [||]; fb = [||]; fr = [||]; fm = [||]; len = 0 }
+
+let grow arr len x =
+  if len < Array.length arr then arr
+  else begin
+    let a = Array.make (max 16 (2 * len)) x in
+    Array.blit arr 0 a 0 len;
+    a
+  end
+
+let push f a b r m =
+  let n = f.len in
+  if n = Array.length f.fa then begin
+    f.fa <- grow f.fa n 0;
+    f.fb <- grow f.fb n 0;
+    f.fr <- grow f.fr n 0;
+    f.fm <- grow f.fm n 0
+  end;
+  f.fa.(n) <- a;
+  f.fb.(n) <- b;
+  f.fr.(n) <- r;
+  f.fm.(n) <- m;
+  f.len <- n + 1
+
+let assemble_bufs ~names ~unseen ~gold ~is_unknown pw un =
+  let col c f = Array.sub c 0 f.len in
+  assemble ~names ~unseen ~gold ~is_unknown ~pw_a:(col pw.fa pw)
+    ~pw_b:(col pw.fb pw) ~pw_rel:(col pw.fr pw)
+    ~pw_mult:(Array.map float_of_int (col pw.fm pw))
+    ~un_n:(col un.fa un) ~un_rel:(col un.fr un)
+    ~un_mult:(Array.map float_of_int (col un.fm un))
+
+let label_id syms ~unseen s =
+  match Symbols.find_label syms s with Some l -> l | None -> unseen
+
+(* Strings are looked up, never interned, so encoding never writes the
+   model: its tables stay as training left them however many graphs it
+   encodes (training graphs find every string, because
+   [Candidates.count_graph] interned them all). A label the model has
+   never seen encodes to [unseen]. A factor whose relation is unseen,
+   or whose known endpoint's label is, has weight 0 under every
+   candidate and adds no candidate evidence, so it is left out: adding
+   +0.0 changes no score, and the neighbour edge it would add only
+   re-marks a slot whose argmax cannot change. *)
+let encode m (g : Graph.t) =
+  let unseen = Symbols.num_labels m.syms in
+  let nodes = g.Graph.nodes in
+  let names = Array.map (fun (nd : Graph.node) -> nd.Graph.gold) nodes in
+  let gold = Array.map (label_id m.syms ~unseen) names in
+  let is_unknown =
+    Array.map (fun (nd : Graph.node) -> nd.Graph.kind = `Unknown) nodes
+  in
+  let live i = is_unknown.(i) || gold.(i) <> unseen in
+  let pw = fbuf () and un = fbuf () in
+  List.iter
+    (fun f ->
+      match f with
+      | Graph.Pairwise { a; b; rel; mult } -> (
+          match Symbols.find_rel m.syms rel with
+          | Some r when live a && live b -> push pw a b r mult
+          | _ -> ())
+      | Graph.Unary { n = i; rel; mult } -> (
+          match Symbols.find_rel m.syms rel with
+          | Some r when live i -> push un i i r mult
+          | _ -> ()))
+    g.Graph.factors;
+  assemble_bufs ~names ~unseen ~gold ~is_unknown pw un
+
+(* Factor merge for [Builder]: dense ids for (k1, k2) int keys in
+   first-sight order, by linear probing over one flat array of
+   (k1, k2, id) triples — a factor occurrence costs one hash of two
+   ints and one cache line, and allocates nothing. *)
+module Merge = struct
+  type t = {
+    mutable slots : int array;  (* k1, k2, id per slot; id -1 = empty *)
+    mutable mask : int;
+    mutable n : int;
+  }
+
+  let make cap =
+    let slots = Array.make (3 * cap) 0 in
+    for i = 0 to cap - 1 do
+      slots.((3 * i) + 2) <- -1
+    done;
+    { slots; mask = cap - 1; n = 0 }
+
+  let[@inline] start mask k1 k2 =
+    (((k1 * 0x2545F4914F6CDD1D) + k2) * 0x2545F4914F6CDD1D) lsr 20 land mask
+
+  (* The slot index holding (k1, k2), or the empty one ending its run. *)
+  let rec probe slots mask k1 k2 i =
+    let j = Array.unsafe_get slots ((3 * i) + 2) in
+    if
+      j < 0
+      || Array.unsafe_get slots (3 * i) = k1
+         && Array.unsafe_get slots ((3 * i) + 1) = k2
+    then i
+    else probe slots mask k1 k2 ((i + 1) land mask)
+
+  let set slots i k1 k2 id =
+    slots.(3 * i) <- k1;
+    slots.((3 * i) + 1) <- k2;
+    slots.((3 * i) + 2) <- id
+
+  let rehash t =
+    let old = t.slots in
+    let fresh = make (2 * (t.mask + 1)) in
+    t.slots <- fresh.slots;
+    t.mask <- fresh.mask;
+    for i = 0 to (Array.length old / 3) - 1 do
+      let j = old.((3 * i) + 2) in
+      if j >= 0 then begin
+        let k1 = old.(3 * i) and k2 = old.((3 * i) + 1) in
+        set t.slots (probe t.slots t.mask k1 k2 (start t.mask k1 k2)) k1 k2 j
+      end
+    done
+
+  (* One spare table for the next build to take, whichever thread or
+     domain gets it first (a concurrent build makes its own): a large
+     graph's table is hundreds of KB, and allocating and regrowing it
+     for every build cost about as much as its probes. Tables past
+     2^16 slots are not kept. *)
+  let spare = Atomic.make None
+
+  let take () =
+    match Atomic.exchange spare None with
+    | Some t ->
+        for i = 0 to t.mask do
+          t.slots.((3 * i) + 2) <- -1
+        done;
+        t.n <- 0;
+        t
+    | None -> make 256
+
+  let give t = if t.mask < 1 lsl 16 then Atomic.set spare (Some t)
+
+  (* The id of (k1, k2); a key seen for the first time gets id [n]. *)
+  let find_or_add t k1 k2 =
+    let i = probe t.slots t.mask k1 k2 (start t.mask k1 k2) in
+    let j = t.slots.((3 * i) + 2) in
+    if j >= 0 then j
+    else begin
+      set t.slots i k1 k2 t.n;
+      t.n <- t.n + 1;
+      if 2 * t.n > t.mask then rehash t;
+      t.n - 1
+    end
+end
+
+module Builder = struct
+  type t = {
+    syms : Symbols.t;
+    unseen : int;
+    mutable names : string array;
+    mutable gold : int array;
+    mutable unk : bool array;
+    mutable n : int;
+    pw : fbuf;
+    pw_ids : Merge.t;  (* ((a lsl 24) lor rel, b) -> pw index *)
+    un : fbuf;
+    un_ids : Merge.t;  (* ((n lsl 24) lor rel, 0) -> un index *)
+  }
+
+  let create syms =
+    {
+      syms;
+      unseen = Symbols.num_labels syms;
+      names = [||];
+      gold = [||];
+      unk = [||];
+      n = 0;
+      pw = fbuf ();
+      pw_ids = Merge.take ();
+      un = fbuf ();
+      un_ids = Merge.make 64;
+    }
+
+  let node t ~gold ~unknown =
+    let n = t.n in
+    t.names <- grow t.names n "";
+    t.gold <- grow t.gold n 0;
+    t.unk <- grow t.unk n false;
+    t.names.(n) <- gold;
+    t.gold.(n) <- label_id t.syms ~unseen:t.unseen gold;
+    t.unk.(n) <- unknown;
+    t.n <- n + 1
+
+  (* [encode]'s rule for unseen strings: the factor is left out. *)
+  let live t i = t.unk.(i) || t.gold.(i) <> t.unseen
+
+  let add f ids k1 k2 a b rel =
+    let id = Merge.find_or_add ids k1 k2 in
+    if id = f.len then push f a b rel 1 else f.fm.(id) <- f.fm.(id) + 1
+
+  let pairwise t ~a ~b ~rel =
+    if rel >= 0 && live t a && live t b then
+      add t.pw t.pw_ids ((a lsl 24) lor rel) b a b rel
+
+  let unary t ~n ~rel =
+    if rel >= 0 && live t n then add t.un t.un_ids ((n lsl 24) lor rel) 0 n n rel
+
+  let finish t =
+    Merge.give t.pw_ids;
+    assemble_bufs ~names:(Array.sub t.names 0 t.n) ~unseen:t.unseen
+      ~gold:(Array.sub t.gold 0 t.n) ~is_unknown:(Array.sub t.unk 0 t.n) t.pw
+      t.un
+end
 
 type init_style = No_init | Log_counts | Naive_bayes
 type trainer = Structured | Pseudolikelihood | Pl_gradient | Mixed
@@ -418,7 +650,7 @@ let map_assignment ?cand cfg cands m eg ~force_gold ~seed =
   let default =
     match Candidates.global_top_ids cands 1 with
     | [ l ] -> l
-    | _ -> Symbols.label m.syms "?"
+    | _ -> label_id m.syms ~unseen:eg.unseen "?"
   in
   let assignment =
     Array.mapi
@@ -976,44 +1208,56 @@ let storage m =
   | `Heap, `Heap, `Heap -> `Heap
   | _ -> `Mapped
 
+(* The first use of a model, once and under one lock: forcing the
+   candidate table (a mapped load parses and checksums its sections
+   there), ranking the global labels, checksumming the mapped weight
+   tables and building their probe indexes. Forcing a [Lazy.t] from two
+   threads at once raises [CamlinternalLazy.Undefined]; after this the
+   model and its candidates are only read, so any number of threads
+   and domains can share them. *)
+let first_use = Mutex.create ()
+
+let prepare m cands =
+  if not (Atomic.get m.ready) then
+    Mutex.protect first_use (fun () ->
+        if not (Atomic.get m.ready) then begin
+          ignore (Candidates.global_top_ids (Lazy.force cands) 1);
+          verify_tables m;
+          Atomic.set m.ready true
+        end);
+  Lazy.force cands
+
+(* Known nodes keep their own strings; an unknown renders its assigned
+   label, where [unseen] (the "?" default of a model that counted no
+   labels) renders as "?". *)
+let labels_of m eg assignment =
+  Array.mapi
+    (fun i l ->
+      if not eg.is_unknown.(i) then eg.names.(i)
+      else if l = eg.unseen then "?"
+      else Symbols.label_string m.syms l)
+    assignment
+
+let infer cfg cands m eg =
+  labels_of m eg
+    (map_assignment cfg cands m eg ~force_gold:false ~seed:cfg.seed)
+
 let predict cfg cands m g =
   verify_tables m;
-  let eg = encode m g in
-  let assignment =
-    map_assignment cfg cands m eg ~force_gold:false ~seed:cfg.seed
-  in
-  Array.map (Symbols.label_string m.syms) assignment
+  infer cfg cands m (encode m g)
 
-(* Batch prediction: encoding and candidate lookup intern strings into
-   the model's (shared, unsynchronized) symbol table, so they run up
-   front on the calling domain; once every string the passes touch is
-   interned, inference per graph is pure reads and fans out over the
-   pool. Each graph is seeded exactly as [predict] seeds it, and
-   results come back in input order — identical output for every job
+(* Nothing below writes the model — encoding looks strings up and
+   never interns — so whole graphs, encoding included, fan out over
+   the pool. Each graph is seeded exactly as [predict] seeds it, and
+   results come back in input order: identical output for every job
    count. *)
 let predict_batch ?pool cfg cands m graphs =
   verify_tables m;
-  let prepped =
-    Array.of_list
-      (List.map
-         (fun g ->
-           let eg = encode m g in
-           (eg, candidate_ids cfg cands m eg ~force_gold:false))
-         graphs)
-  in
-  (match Candidates.global_top_ids cands 1 with
-  | [ _ ] -> ()
-  | _ -> ignore (Symbols.label m.syms "?"));
-  let out =
-    Parallel.map ?pool
-      (fun (eg, cand) ->
-        let assignment =
-          map_assignment ~cand cfg cands m eg ~force_gold:false ~seed:cfg.seed
-        in
-        Array.map (Symbols.label_string m.syms) assignment)
-      prepped
-  in
-  Array.to_list out
+  Parallel.map_list ?pool (fun g -> infer cfg cands m (encode m g)) graphs
+
+let predict_encoded ?pool cfg cands m egs =
+  verify_tables m;
+  Parallel.map_list ?pool (infer cfg cands m) egs
 
 let top_k cfg cands m g ~node ~k =
   verify_tables m;
@@ -1220,4 +1464,5 @@ let restore_mapped ~labels ~rels ~pw ~un ~bias =
     un_u = Itbl.create 0;
     bias_u = Itbl.create 0;
     steps = 0;
+    ready = Atomic.make false;
   }

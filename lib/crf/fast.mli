@@ -10,7 +10,12 @@
     prediction here. *)
 
 type egraph
-(** A {!Graph.t} compiled against a model's symbol table. *)
+(** A factor graph compiled against a model's symbol table: dense
+    label and relation ids in parallel int arrays. Compiling only looks
+    strings up, never interns them, so it never writes the model. A
+    factor whose relation, or whose known endpoint's label, the model
+    has never seen has weight 0 under every candidate and adds no
+    candidate evidence; it is left out, which changes no prediction. *)
 
 type model
 
@@ -21,11 +26,35 @@ val create : ?symbols:Symbols.t -> unit -> model
 val symbols : model -> Symbols.t
 
 val encode : model -> Graph.t -> egraph
-val graph_of : egraph -> Graph.t
+(** Factors keep the graph's order. *)
+
+(** Builds the {!encode} of a graph straight from its nodes and factor
+    occurrences, without the string graph: relations arrive as ids
+    (negative = unseen), and occurrences of the same (node, relation,
+    node) factor merge into one with a multiplicity, in first-occurrence
+    order — the order {!Graph.make} gives. So feeding a builder what
+    {!Graph.make} is fed yields [encode m (Graph.make ...)]. *)
+module Builder : sig
+  type t
+
+  val create : Symbols.t -> t
+  (** Against a model's symbol table ({!symbols}). *)
+
+  val node : t -> gold:string -> unknown:bool -> unit
+  (** Adds the next node: ids are [0, 1, ...] in call order. *)
+
+  val pairwise : t -> a:int -> b:int -> rel:int -> unit
+  val unary : t -> n:int -> rel:int -> unit
+  val finish : t -> egraph
+end
 
 val unknown_nodes : egraph -> int array
 (** Node ids of the unknown nodes, in slot order (the order candidate
     arrays and {!Scorer} slots are indexed by). *)
+
+val name : egraph -> int -> string
+(** A node's own string: a known node's label, an unknown node's
+    current name. *)
 
 type init_style =
   | No_init
@@ -190,9 +219,26 @@ val predict_batch :
   Graph.t list ->
   string array list
 (** [predict_batch cfg cands m graphs] = [List.map (predict cfg cands m)
-    graphs], with per-graph inference fanned out over [pool] (default:
-    the shared {!Parallel.get_pool}). Output is identical for every job
-    count. *)
+    graphs], with per-graph encoding and inference fanned out over
+    [pool] (default: the shared {!Parallel.get_pool}). Output is
+    identical for every job count. *)
+
+val predict_encoded :
+  ?pool:Parallel.pool ->
+  config ->
+  Candidates.t ->
+  model ->
+  egraph list ->
+  string array list
+(** {!predict_batch} over graphs already encoded against [model]. *)
+
+val prepare : model -> Candidates.t Lazy.t -> Candidates.t
+(** The model's first use, run once under a lock: force [cands] (the
+    candidate table paired with [model]; a mapped load parses and
+    checksums it here), rank its global labels, verify the mapped
+    weight tables and build their probe indexes. Later calls cost one
+    atomic read. After it, inference only reads the model, so threads
+    and domains may share it. *)
 
 val top_k :
   config ->

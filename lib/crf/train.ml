@@ -82,15 +82,22 @@ let train_of_shards ?pool ?(config = default_config) ~n_shards
     fast;
   }
 
+let candidates model = Fast.prepare model.fast model.candidates
+
 let predict model g =
-  Fast.predict (fast_config model.config) (Lazy.force model.candidates) model.fast g
+  Fast.predict (fast_config model.config) (candidates model) model.fast g
 
 let predict_batch ?pool model graphs =
-  Fast.predict_batch ?pool (fast_config model.config) (Lazy.force model.candidates)
+  Fast.predict_batch ?pool (fast_config model.config) (candidates model)
     model.fast graphs
 
+let predict_encoded ?pool model egs =
+  Fast.predict_encoded ?pool (fast_config model.config) (candidates model)
+    model.fast egs
+
 let top_k model g ~node ~k =
-  Fast.top_k (fast_config model.config) (Lazy.force model.candidates) model.fast g ~node ~k
+  Fast.top_k (fast_config model.config) (candidates model) model.fast g ~node
+    ~k
 
 let accuracy ?pool model graphs =
   let preds = predict_batch ?pool model graphs in
@@ -114,7 +121,7 @@ let oov_rate model graphs =
       List.iter
         (fun n ->
           incr total;
-          if Candidates.label_count (Lazy.force model.candidates) gold.(n) = 0 then incr oov)
+          if Candidates.label_count (candidates model) gold.(n) = 0 then incr oov)
         (Graph.unknown_ids g))
     graphs;
   if !total = 0 then 0. else float_of_int !oov /. float_of_int !total

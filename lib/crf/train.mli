@@ -65,13 +65,25 @@ val train_of_shards :
     model and its (iteration, shard) cursor, rebuilding the candidate
     table from the shards against the restored symbol table. *)
 
+val candidates : model -> Candidates.t
+(** The model's candidate table, after its one-time first use (see
+    {!Fast.prepare}); every prediction entry point goes through this,
+    so threads and domains can share a freshly loaded model. *)
+
 val predict : model -> Graph.t -> string array
-(** MAP assignment; known nodes keep their labels. *)
+(** MAP assignment; known nodes keep their labels. Never writes the
+    model. *)
 
 val predict_batch :
   ?pool:Parallel.pool -> model -> Graph.t list -> string array list
 (** [List.map (predict model)], fanned out over [pool] (default: the
     shared pool). Identical output for every job count. *)
+
+val predict_encoded :
+  ?pool:Parallel.pool -> model -> Fast.egraph list -> string array list
+(** {!predict_batch} over graphs encoded against [model]'s symbol
+    table (e.g. by [Pigeon.Graphs.encode]): the request path, with no
+    string graph. *)
 
 val top_k : model -> Graph.t -> node:int -> k:int -> (string * float) list
 (** Top-k suggestions for one node under the MAP assignment of the

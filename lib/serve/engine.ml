@@ -42,7 +42,7 @@ type entry = {
   e_loaded : loaded option;  (** [None] = evicted *)
   e_evictions : int;
   e_last_used : float Atomic.t;
-      (** epoch seconds of the last request served through this entry;
+      (** monotonic seconds of the last request served through this entry;
           [0.] = never. Shared across snapshot generations of the same
           name, so eviction ranks on real use. *)
 }
@@ -66,8 +66,12 @@ type session = {
   s_lang : Pigeon.Lang.t;
   s_model : string option;  (** registry entry predictions run against *)
   s_cache : Astpath.Cache.t;
+  mutable s_rels : Pigeon.Graphs.rels option;
+      (** path id → relation id memo over [s_cache]'s path ids, for
+          the model the last request ran against *)
   mutable s_edits : int;  (** successful edits since open *)
-  mutable s_last_used : float;  (** epoch seconds of the last open/edit *)
+  mutable s_last_used : float;
+      (** monotonic seconds of the last open/edit *)
 }
 
 type t = {
@@ -352,7 +356,7 @@ let resolve t snap model =
              (loaded_names snap))
   in
   (match r with
-  | Ok e -> Atomic.set e.e_last_used (Unix.gettimeofday ())
+  | Ok e -> Atomic.set e.e_last_used (Netio.now ())
   | Error _ -> ());
   r
 
@@ -365,7 +369,7 @@ let entry_loaded e =
 
 let models t =
   let snap = Atomic.get t.snap in
-  let now = Unix.gettimeofday () in
+  let now = Netio.now () in
   List.map
     (fun e ->
       let storage, note, bytes =
@@ -408,21 +412,23 @@ let guarded t f =
   | Error d -> Error (Protocol.error_of_diag d)
   | exception e -> Error (classify e)
 
-(* parse → build factor graph, under this engine's per-request
-   budgets. The front-end guards (input size, nesting depth, step
-   budget) all fire inside [lang.parse_tree]. *)
-let graph_of_code t (lang : Pigeon.Lang.t) code =
+(* parse → encoded factor graph against the request's model, under
+   this engine's per-request budgets. The front-end guards (input size,
+   nesting depth, step budget) all fire inside [lang.parse_tree]. The
+   graph is built in the model's id space straight from extraction:
+   no string graph, and nothing written to the shared model. *)
+let egraph_of_code t (lang : Pigeon.Lang.t) (model : Crf.Train.model) code =
   guarded t (fun () ->
       let tree = lang.Pigeon.Lang.parse_tree code in
       let repr =
         Pigeon.Graphs.default_repr ~config:lang.Pigeon.Lang.tuned ()
       in
-      Pigeon.Graphs.build repr ~def_labels:lang.Pigeon.Lang.def_labels
-        ~policy:Pigeon.Graphs.Locals tree)
+      Pigeon.Graphs.encode repr ~def_labels:lang.Pigeon.Lang.def_labels
+        ~policy:Pigeon.Graphs.Locals model.Crf.Train.fast tree)
 
-let pairs_of_prediction g pred =
-  let gold = Crf.Graph.gold_assignment g in
-  List.map (fun n -> (gold.(n), pred.(n))) (Crf.Graph.unknown_ids g)
+let pairs_of_prediction eg pred =
+  Array.to_list
+    (Array.map (fun n -> (Crf.Fast.name eg n, pred.(n))) (Crf.Fast.unknown_nodes eg))
 
 (* ---------- edit sessions ---------- *)
 
@@ -487,7 +493,7 @@ let cache_stat_of (c : Astpath.Cache.stats) =
 
 let session_stats t =
   with_sessions t (fun () ->
-      let now = Unix.gettimeofday () in
+      let now = Netio.now () in
       let stat s =
         {
           Protocol.ss_name = s.s_name;
@@ -530,16 +536,23 @@ let session_stats t =
       in
       (sessions, agg))
 
-(* parse → build factor graph through the session's incremental
-   cache. Same guards as [graph_of_code]; a failed parse costs the
-   request its reply and leaves the session untouched. *)
-let graph_of_session t (sess : session) code =
+(* parse → encoded factor graph through the session's incremental
+   cache and its relation memo. Same guards as [egraph_of_code]; a
+   failed parse costs the request its reply and leaves the session's
+   buffer state untouched. The memo follows the session's model: a
+   reload, eviction or revival hands the session a new model, and the
+   memo built against the old one is dropped here. *)
+let egraph_of_session t (sess : session) (model : Crf.Train.model) code =
   guarded t (fun () ->
       let tree = sess.s_lang.Pigeon.Lang.parse_tree code in
       let repr =
         Pigeon.Graphs.default_repr ~config:sess.s_lang.Pigeon.Lang.tuned ()
       in
-      Pigeon.Graphs.build_cached repr ~cache:sess.s_cache
+      let rels =
+        Pigeon.Graphs.rels ?reuse:sess.s_rels repr model.Crf.Train.fast
+      in
+      sess.s_rels <- Some rels;
+      Pigeon.Graphs.encode_cached repr ~cache:sess.s_cache ~rels
         ~def_labels:sess.s_lang.Pigeon.Lang.def_labels
         ~policy:Pigeon.Graphs.Locals tree)
 
@@ -549,12 +562,12 @@ let predict_one t ~lang ~code =
   | Error e -> Error e
   | Ok entry -> (
       let l = entry_loaded entry in
-      match graph_of_code t lang code with
+      match egraph_of_code t lang l.crf code with
       | Error e -> Error e
-      | Ok g -> (
-          match guarded t (fun () -> Crf.Train.predict l.crf g) with
-          | Ok pred -> Ok (pairs_of_prediction g pred)
-          | Error e -> Error e))
+      | Ok eg ->
+          guarded t (fun () ->
+              pairs_of_prediction eg
+                (List.hd (Crf.Train.predict_encoded l.crf [ eg ]))))
 
 let similar_entry entry ~word ~k =
   let l = entry_loaded entry in
@@ -589,7 +602,7 @@ type slot =
   | Pending of {
       id : Json.t;
       lang_name : string;
-      graph : Crf.Graph.t;
+      eg : Crf.Fast.egraph;  (** encoded against [model] *)
       model_name : string;
       model : Crf.Train.model;
       session : string option;  (** echoed in the reply when set *)
@@ -620,13 +633,15 @@ let open_session t snap ~conn ~id ~name ~lang ~code ~model =
               s_lang = l;
               s_model = model;
               s_cache = Astpath.Cache.create ();
+              s_rels = None;
               s_edits = 0;
-              s_last_used = Unix.gettimeofday ();
+              s_last_used = Netio.now ();
             }
           in
-          match graph_of_session t sess code with
+          let crf = (entry_loaded entry).crf in
+          match egraph_of_session t sess crf code with
           | Error e -> Done (Protocol.render_error ~id e)
-          | Ok graph ->
+          | Ok eg ->
               with_sessions t (fun () ->
                   Hashtbl.replace t.sessions (conn, name) sess);
               evict_sessions t ~keep:(conn, name);
@@ -634,9 +649,9 @@ let open_session t snap ~conn ~id ~name ~lang ~code ~model =
                 {
                   id;
                   lang_name = l.Pigeon.Lang.name;
-                  graph;
+                  eg;
                   model_name = entry.e_name;
-                  model = (entry_loaded entry).crf;
+                  model = crf;
                   session = Some name;
                 }))
 
@@ -653,23 +668,24 @@ let edit_session t snap ~conn ~id ~name ~code =
       match resolve t snap sess.s_model with
       | Error e -> Done (Protocol.render_error ~id e)
       | Ok entry -> (
-          match graph_of_session t sess code with
+          let crf = (entry_loaded entry).crf in
+          match egraph_of_session t sess crf code with
           | Error e ->
               (* The edit failed (parse error, oversized buffer, …):
                  its request answers and the session survives on its
                  previous state. *)
               Done (Protocol.render_error ~id e)
-          | Ok graph ->
+          | Ok eg ->
               sess.s_edits <- sess.s_edits + 1;
-              sess.s_last_used <- Unix.gettimeofday ();
+              sess.s_last_used <- Netio.now ();
               evict_sessions t ~keep:(conn, name);
               Pending
                 {
                   id;
                   lang_name = sess.s_lang.Pigeon.Lang.name;
-                  graph;
+                  eg;
                   model_name = entry.e_name;
-                  model = (entry_loaded entry).crf;
+                  model = crf;
                   session = Some name;
                 }))
 
@@ -715,16 +731,17 @@ let prepare t snap ~conn req =
           match Pigeon.Lang.by_name lang with
           | None -> Done (unknown_lang ~id lang)
           | Some l -> (
-              match graph_of_code t l code with
+              let crf = (entry_loaded entry).crf in
+              match egraph_of_code t l crf code with
               | Error e -> Done (Protocol.render_error ~id e)
-              | Ok graph ->
+              | Ok eg ->
                   Pending
                     {
                       id;
                       lang_name = l.Pigeon.Lang.name;
-                      graph;
+                      eg;
                       model_name = entry.e_name;
-                      model = (entry_loaded entry).crf;
+                      model = crf;
                       session = None;
                     })))
   | Protocol.Open { name; lang; code; model; _ } ->
@@ -739,39 +756,38 @@ let handle_batch_conn ?pool t reqs =
   let slots =
     Array.of_list (List.map (fun (conn, req) -> prepare t snap ~conn req) reqs)
   in
-  (* Group pending graphs per model — one predict_batch round per
-     model keeps the single-model case exactly as before while a mixed
-     batch still fans each group over the pool. *)
+  (* Group pending graphs per model — one prediction round per model
+     keeps the single-model case exactly as before while a mixed batch
+     still fans each group over the pool. *)
   let groups = ref [] in
   Array.iteri
     (fun i slot ->
       match slot with
       | Done _ -> ()
-      | Pending { graph; model_name; model; _ } -> (
+      | Pending { eg; model_name; model; _ } -> (
           match List.assoc_opt model_name !groups with
-          | Some (_, items) -> items := (i, graph) :: !items
+          | Some (_, items) -> items := (i, eg) :: !items
           | None ->
-              groups := !groups @ [ (model_name, (model, ref [ (i, graph) ])) ]))
+              groups := !groups @ [ (model_name, (model, ref [ (i, eg) ])) ]))
     slots;
   let results = Array.make (Array.length slots) None in
   List.iter
     (fun (_, (model, items)) ->
       let items = List.rev !items in
-      let graphs = List.map snd items in
+      let egs = List.map snd items in
       let preds =
         (* Fast path: the whole group through the domain pool at once.
            If one graph poisons the batch (a predictor bug — guarded
            inputs cannot reach here), fall back to per-graph prediction
            so only the offending request pays. *)
-        match Crf.Train.predict_batch ?pool model graphs with
+        match Crf.Train.predict_encoded ?pool model egs with
         | preds -> List.map (fun p -> Ok p) preds
         | exception _ ->
             List.map
-              (fun g ->
-                match guarded t (fun () -> Crf.Train.predict model g) with
-                | Ok p -> Ok p
-                | Error e -> Error e)
-              graphs
+              (fun eg ->
+                guarded t (fun () ->
+                    List.hd (Crf.Train.predict_encoded model [ eg ])))
+              egs
       in
       List.iter2 (fun (i, _) p -> results.(i) <- Some p) items preds)
     !groups;
@@ -780,10 +796,10 @@ let handle_batch_conn ?pool t reqs =
        (fun i slot ->
          match slot with
          | Done line -> line
-         | Pending { id; lang_name; graph; session; _ } -> (
+         | Pending { id; lang_name; eg; session; _ } -> (
              match results.(i) with
              | Some (Ok p) -> (
-                 let pairs = pairs_of_prediction graph p in
+                 let pairs = pairs_of_prediction eg p in
                  match session with
                  | Some s ->
                      Protocol.render_session_predictions ~id ~lang:lang_name

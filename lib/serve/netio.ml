@@ -17,6 +17,11 @@
    [Unix.Unix_error (ETIMEDOUT, …)] (the peer is not draining, which
    callers treat like a dead peer). *)
 
+(* Monotonic seconds (arbitrary origin): deadlines and idle stamps
+   read this, so a wall-clock step (NTP) neither fires nor stalls
+   every timeout at once. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
 let ignore_sigpipe () =
   match Sys.signal Sys.sigpipe Sys.Signal_ignore with
   | _ -> ()
@@ -46,9 +51,9 @@ let wait_ready ~write fd timeout =
       in
       forever ()
   | Some tmo ->
-      let deadline = Unix.gettimeofday () +. tmo in
+      let deadline = now () +. tmo in
       let rec until () =
-        let left = deadline -. Unix.gettimeofday () in
+        let left = deadline -. now () in
         if left <= 0. then false
         else
           match sel left with

@@ -2,6 +2,11 @@
     with select-based timeouts that work on blocking and non-blocking
     fds alike. *)
 
+val now : unit -> float
+(** Seconds on the monotonic clock, from an arbitrary origin: what
+    every deadline, idle budget, LRU stamp and uptime in the daemon
+    reads, so a wall-clock step cannot fire or stall them. *)
+
 val ignore_sigpipe : unit -> unit
 (** Ignore SIGPIPE process-wide (no-op where it does not exist), so a
     write to a disconnected peer fails with [EPIPE] instead of killing

@@ -118,7 +118,7 @@ let stats t =
   locked t (fun () ->
       {
         Protocol.uptime_ms =
-          int_of_float (1000. *. (Unix.gettimeofday () -. t.t0));
+          int_of_float (1000. *. (Netio.now () -. t.t0));
         served = t.served;
         errors = t.errors;
         shed = t.shed;
@@ -537,7 +537,7 @@ let start ?pool engine cfg =
       n_conns = 0;
       io_threads = [];
       conn_threads = [];
-      t0 = Unix.gettimeofday ();
+      t0 = Netio.now ();
       served = 0;
       errors = 0;
       shed = 0;

@@ -374,11 +374,21 @@ let test_export_weights () =
     true
     (float_of_int !correct /. float_of_int !total > 0.55)
 
+(* Encoding keeps every node's string and unknown slot, and — the
+   model being read-only — interns nothing, even into an empty model. *)
 let test_fast_roundtrip_encode () =
   let g = tiny_graph () in
   let m = Crf.Fast.create () in
   let eg = Crf.Fast.encode m g in
-  check_bool "graph preserved" true (Crf.Fast.graph_of eg == g)
+  Alcotest.(check (array int)) "unknown slots"
+    (Array.of_list (Crf.Graph.unknown_ids g))
+    (Crf.Fast.unknown_nodes eg);
+  Array.iteri
+    (fun i gold -> check_string "node string" gold (Crf.Fast.name eg i))
+    (Crf.Graph.gold_assignment g);
+  let syms = Crf.Fast.symbols m in
+  check_int "no label interned" 0 (Crf.Symbols.num_labels syms);
+  check_int "no relation interned" 0 (Crf.Symbols.num_rels syms)
 
 (* ---------- word2vec ---------- *)
 

@@ -412,7 +412,7 @@ let test_atomic_save_no_tmp_leftover () =
 (* The bug this pins down: the old save wrote straight into the target,
    so a crash mid-write left a truncated file where a good model used
    to be. With atomic saves the target always holds a complete model:
-   kill a child that overwrites the model in a tight loop, then load.
+   kill a process that overwrites the model in a tight loop, then load.
    One iteration only proves atomicity probabilistically; several kills
    make a regression to in-place writes essentially certain to fail. *)
 let test_atomic_save_survives_kill () =
@@ -420,20 +420,12 @@ let test_atomic_save_survives_kill () =
   with_temp_file ".crf" (fun path ->
       Crf.Serialize.save model path;
       let golden = read_file path in
+      with_temp_file ".src" @@ fun src ->
+      write_file src golden;
       for _round = 1 to 3 do
-        (match Unix.fork () with
-        | 0 ->
-            (try
-               while true do
-                 Crf.Serialize.save model path
-               done
-             with _ -> ());
-            Unix._exit 1
-        | pid ->
-            (* let the child get into the middle of a write *)
-            ignore (Unix.select [] [] [] 0.05);
-            Unix.kill pid Sys.sigkill;
-            ignore (Unix.waitpid [] pid));
+        (* let the saver get into the middle of a write *)
+        check_bool "saver started" true
+          (Kill_loop.save_and_kill ~kind:"model" ~src ~dst:path ~after:0.05);
         check_bool "model intact after SIGKILL mid-save" true
           (match Crf.Serialize.load path with Ok _ -> true | Error _ -> false);
         check_bool "target holds a complete model" true
