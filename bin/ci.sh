@@ -3,7 +3,8 @@
 # as configured, then under PIGEON_JOBS=1 and PIGEON_JOBS=2 so every
 # job-invariance contract is exercised with and without worker
 # domains), a bounded fuzz
-# pass over the front-ends and model loaders, the fault-injection
+# pass over the front-ends and model loaders, the perfbench self-test
+# (every benchmark workload at tiny scale), the fault-injection
 # bench (10%-corrupt corpora must train with exact skip tallies), the
 # parallel-scaling bench (regenerates BENCH_parallel.json; determinism
 # checks always, speedup floor only on >= 4-core hosts), the
@@ -20,7 +21,8 @@
 # (hostile-request isolation, daemon byte-identity), the netio
 # edge-case tests, the bounded chaos harness (fault injection: torn
 # replies, engine errors, accept drops, overload, reload under load),
-# exit-code checks for out-of-range numeric CLI flags, a live daemon
+# exit-code checks for out-of-range numeric CLI flags (serve's
+# included), a live daemon
 # smoke (train a model, start `pigeon serve` on a Unix
 # socket, mixed well-formed/hostile burst through `pigeon client`,
 # clean shutdown), lifecycle smokes (wire + SIGHUP hot reload,
@@ -50,6 +52,9 @@ dune runtest --force
 PIGEON_JOBS=1 dune runtest --force
 PIGEON_JOBS=2 dune runtest --force
 PIGEON_FUZZ_COUNT=400 dune exec test/test_fuzz.exe
+# the repository benchmark at tiny scale: a library change that breaks
+# a workload fails here rather than at the next benchmark run
+python3 perfbench/selftest.py
 dune exec bench/main.exe -- --quick fault
 dune exec bench/main.exe -- --quick parallel
 dune exec bench/main.exe -- --quick train
@@ -149,6 +154,20 @@ if [ "$rc" -ne 2 ]; then
   echo "flag smoke: expected exit 2 for gen --files=-1, got $rc" >&2
   exit 1
 fi
+# serve flags are checked before anything binds: a batch cap of 0 would
+# spin on a non-empty queue, a negative budget would read as unbounded
+for args in "--max-batch=0" "--max-queue=-1"; do
+  set +e
+  # shellcheck disable=SC2086
+  "$PIGEON_BIN" serve --model "$SMOKE_DIR/model.crf" \
+    --socket "$SMOKE_DIR/never.sock" $args 2>/dev/null
+  rc=$?
+  set -e
+  if [ "$rc" -ne 2 ]; then
+    echo "flag smoke: expected exit 2 for serve $args, got $rc" >&2
+    exit 1
+  fi
+done
 
 # a second model to hot-swap in, and a live path the daemon re-reads on SIGHUP
 "$PIGEON_BIN" train --files 40 -j 1 "$SMOKE_DIR/model2.crf"

@@ -93,6 +93,12 @@ let require_at_least ~flag min v =
     exit 2
   end
 
+let require_at_least_float ~flag min v =
+  if not (v >= min) then begin
+    Format.eprintf "error: --%s must be at least %g, got %g@." flag min v;
+    exit 2
+  end
+
 (* ---------- paths ---------- *)
 
 let length_arg =
@@ -578,6 +584,28 @@ let serve_cmd =
   let run model_path w2v_path named no_mmap max_mapped_bytes max_session_bytes
       socket tcp host jobs max_batch max_bytes max_depth max_steps max_queue
       max_conns idle_timeout =
+    (* 0 means "unbounded" for the budgets; a negative value would read
+       the same way without saying so. A limit below 1 on request size,
+       depth or steps would fail every non-empty request, a batch of at
+       most 0 requests never drains the queue, and a port outside
+       0-65535 binds some other port. *)
+    require_at_least ~flag:"max-batch" 1 max_batch;
+    require_at_least ~flag:"max-queue" 0 max_queue;
+    require_at_least ~flag:"max-conns" 0 max_conns;
+    require_at_least ~flag:"max-mapped-bytes" 0 max_mapped_bytes;
+    require_at_least ~flag:"max-session-bytes" 0 max_session_bytes;
+    require_at_least_float ~flag:"idle-timeout" 0. idle_timeout;
+    Option.iter (require_at_least ~flag:"max-input-bytes" 1) max_bytes;
+    Option.iter (require_at_least ~flag:"max-depth" 1) max_depth;
+    Option.iter (require_at_least ~flag:"max-steps" 1) max_steps;
+    Option.iter
+      (fun port ->
+        if port < 0 || port > 65535 then begin
+          Format.eprintf "error: --tcp must be a port from 0 to 65535, got %d@."
+            port;
+          exit 2
+        end)
+      tcp;
     if socket = None && tcp = None then begin
       Format.eprintf "error: pass --socket PATH and/or --tcp PORT@.";
       exit 2

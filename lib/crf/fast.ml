@@ -37,6 +37,17 @@ let name eg n = eg.names.(n)
 let pw_key la rel lb = (la lsl 42) lor (rel lsl 18) lor lb
 let un_key l rel = (l lsl 24) lor rel
 
+(* A frozen model's weights in rows ({!Itbl.rows}), for the ICM column
+   fill: pairwise weights by (rel, lb), whose entries vary la, and by
+   (la, rel), whose entries vary lb; unary weights by rel, whose
+   entries vary the label. The label fields are the ones [pw_key] and
+   [un_key] place at bits 42, 0 and 24. *)
+type rows = {
+  by_rel_lb : Itbl.rows;
+  by_la_rel : Itbl.rows;
+  un_by_rel : Itbl.rows;
+}
+
 type model = {
   syms : Symbols.t;
   pw : Itbl.t;
@@ -47,7 +58,9 @@ type model = {
   un_u : Itbl.t;
   bias_u : Itbl.t;
   mutable steps : int;
-  ready : bool Atomic.t;  (* first use done (see [prepare]) *)
+  rows : rows option Atomic.t;
+      (* set once, by [prepare]: [Some] marks a frozen model whose
+         first use is done *)
 }
 
 let create ?symbols () =
@@ -60,7 +73,7 @@ let create ?symbols () =
     un_u = Itbl.create 16384;
     bias_u = Itbl.create 512;
     steps = 0;
-    ready = Atomic.make false;
+    rows = Atomic.make None;
   }
 
 (* A per-domain write target for one parallel training slice: shares
@@ -76,7 +89,7 @@ let delta_of m =
     un_u = Itbl.create 256;
     bias_u = Itbl.create 64;
     steps = 0;
-    ready = Atomic.make false;
+    rows = Atomic.make None;
   }
 
 let symbols m = m.syms
@@ -439,11 +452,19 @@ let node_score m eg n assignment l =
    fresh against the current assignment. This is exact, not
    approximate: each pairwise column caches the neighbor label it was
    computed against ([seen]); a refresh recomputes exactly the columns
-   whose neighbor changed, with the same float expression
-   [node_score] uses, then resums all columns in [node_score]'s exact
+   whose neighbor changed, each entry [mult *. w] as [node_score]
+   computes it, then resums all columns in [node_score]'s exact
    operation order (bias, pairwise in touch order, unary in touch
    order). Unary columns and the bias depend only on the candidate
    label and are filled once — weights are frozen during inference.
+
+   A prepared model's columns are filled from its rows: zero the
+   column, then write [mult *. w] for each entry of the factor's row
+   whose label is a candidate, found by binary search in the slot's
+   sorted candidates. An absent key's [get] is [0.] and every [mult]
+   is a positive count, so [mult *. 0.] is the [+0.] already there and
+   the bits match a fill by [get]. A model under training has no rows
+   (its weights change after every graph) and fills by [get].
 
    A slot's own label never enters its own candidate scores
    ([Graph.make] rejects self-loop pairwise factors), so flipping slot
@@ -455,10 +476,16 @@ module Scorer = struct
     eg : egraph;
     cand : int array array;
     assignment : int array;
+    rows : rows option;  (* the model's rows, when it is prepared *)
+    sorted : int array array;  (* per slot, with rows: candidate labels
+                                  ascending *)
+    pos : int array array;  (* per slot, with rows: each sorted label's
+                               candidate index *)
     npw : int array;  (* per slot: pairwise column count *)
     ncols : int array;  (* per slot: pairwise + unary columns *)
     nb_of : int array array;  (* per slot, per pw column: neighbor node *)
-    contrib : float array array;  (* per slot: ncand * ncols, cand-major *)
+    contrib : float array array;  (* per slot: ncols * ncand, column-major:
+                                     column j holds cells [j * ncand, ..) *)
     bias_c : float array array;  (* per slot, per candidate: bias weight *)
     seen : int array array;  (* per slot, per pw column: label cached
                                 against; -1 = never computed *)
@@ -466,20 +493,30 @@ module Scorer = struct
     dirty : bool array;
   }
 
-  let create m eg cand assignment =
+  let create (m : model) eg cand assignment =
     let k = Array.length eg.unknown in
+    let rows =
+      match Atomic.get m.rows with
+      | Some r
+        when Itbl.rows_current r.by_la_rel && Itbl.rows_current r.un_by_rel ->
+          Some r
+      | _ -> None
+    in
     let npw = Array.make k 0
     and ncols = Array.make k 0
     and nb_of = Array.make k [||]
     and contrib = Array.make k [||]
     and bias_c = Array.make k [||]
     and seen = Array.make k [||]
-    and sc = Array.make k [||] in
+    and sc = Array.make k [||]
+    and sorted = Array.make k [||]
+    and pos = Array.make k [||] in
     for i = 0 to k - 1 do
       let n = eg.unknown.(i) in
       let tp = eg.touch_pw.(n) and tu = eg.touch_un.(n) in
       let np = Array.length tp and nu = Array.length tu in
-      let nc = Array.length cand.(i) in
+      let cs = cand.(i) in
+      let nc = Array.length cs in
       npw.(i) <- np;
       ncols.(i) <- np + nu;
       nb_of.(i) <-
@@ -487,24 +524,41 @@ module Scorer = struct
           (fun fi -> if eg.pw_a.(fi) = n then eg.pw_b.(fi) else eg.pw_a.(fi))
           tp;
       contrib.(i) <- Array.make (nc * (np + nu)) 0.;
-      bias_c.(i) <- Array.map (fun l -> get m.bias l) cand.(i);
+      bias_c.(i) <- Array.map (fun l -> get m.bias l) cs;
       seen.(i) <- Array.make np (-1);
       sc.(i) <- Array.make nc 0.;
-      let row = contrib.(i) in
-      for c = 0 to nc - 1 do
-        let l = cand.(i).(c) in
-        let base = (c * (np + nu)) + np in
-        for j = 0 to nu - 1 do
-          let fi = tu.(j) in
-          row.(base + j) <- eg.un_mult.(fi) *. get m.un (un_key l eg.un_rel.(fi))
-        done
-      done
+      let col = contrib.(i) in
+      match rows with
+      | Some r ->
+          let p = Array.init nc Fun.id in
+          Array.stable_sort (fun a b -> Int.compare cs.(a) cs.(b)) p;
+          pos.(i) <- p;
+          sorted.(i) <- Array.map (Array.get cs) p;
+          for j = 0 to nu - 1 do
+            let fi = tu.(j) in
+            Itbl.scatter r.un_by_rel
+              (un_key 0 eg.un_rel.(fi))
+              ~sorted:sorted.(i) ~pos:p col ~off:((np + j) * nc)
+              ~mult:eg.un_mult.(fi)
+          done
+      | None ->
+          for j = 0 to nu - 1 do
+            let fi = tu.(j) in
+            let base = (np + j) * nc in
+            for c = 0 to nc - 1 do
+              col.(base + c) <-
+                eg.un_mult.(fi) *. get m.un (un_key cs.(c) eg.un_rel.(fi))
+            done
+          done
     done;
     {
       m;
       eg;
       cand;
       assignment;
+      rows;
+      sorted;
+      pos;
       npw;
       ncols;
       nb_of;
@@ -522,33 +576,47 @@ module Scorer = struct
     let cs = t.cand.(i) in
     let np = t.npw.(i) and nc = Array.length t.cand.(i) in
     let cols = t.ncols.(i) in
-    let row = t.contrib.(i) and seen = t.seen.(i) and nbs = t.nb_of.(i) in
+    let col = t.contrib.(i) and seen = t.seen.(i) and nbs = t.nb_of.(i) in
     for j = 0 to np - 1 do
       let cur = t.assignment.(Array.unsafe_get nbs j) in
       if Array.unsafe_get seen j <> cur then begin
         Array.unsafe_set seen j cur;
         let fi = Array.unsafe_get tp j in
         let rel = eg.pw_rel.(fi) and mult = eg.pw_mult.(fi) in
-        if eg.pw_a.(fi) = n then
-          for c = 0 to nc - 1 do
-            Array.unsafe_set row ((c * cols) + j)
-              (mult *. get t.m.pw (pw_key (Array.unsafe_get cs c) rel cur))
-          done
-        else
-          for c = 0 to nc - 1 do
-            Array.unsafe_set row ((c * cols) + j)
-              (mult *. get t.m.pw (pw_key cur rel (Array.unsafe_get cs c)))
-          done
+        let base = j * nc in
+        match t.rows with
+        | Some r ->
+            Array.fill col base nc 0.;
+            let sorted = t.sorted.(i) and pos = t.pos.(i) in
+            if eg.pw_a.(fi) = n then
+              Itbl.scatter r.by_rel_lb (pw_key 0 rel cur) ~sorted ~pos col
+                ~off:base ~mult
+            else
+              Itbl.scatter r.by_la_rel (pw_key cur rel 0) ~sorted ~pos col
+                ~off:base ~mult
+        | None ->
+            if eg.pw_a.(fi) = n then
+              for c = 0 to nc - 1 do
+                Array.unsafe_set col (base + c)
+                  (mult *. get t.m.pw (pw_key (Array.unsafe_get cs c) rel cur))
+              done
+            else
+              for c = 0 to nc - 1 do
+                Array.unsafe_set col (base + c)
+                  (mult *. get t.m.pw (pw_key cur rel (Array.unsafe_get cs c)))
+              done
       end
     done;
-    let scores = t.sc.(i) and bias = t.bias_c.(i) in
-    for c = 0 to nc - 1 do
-      let s = ref (Array.unsafe_get bias c) in
-      let base = c * cols in
-      for j = 0 to cols - 1 do
-        s := !s +. Array.unsafe_get row (base + j)
-      done;
-      Array.unsafe_set scores c !s
+    (* Column by column: each candidate's sum adds its bias, then its
+       cells in column order — [node_score]'s order, so its bits. *)
+    let scores = t.sc.(i) in
+    Array.blit t.bias_c.(i) 0 scores 0 nc;
+    for j = 0 to cols - 1 do
+      let base = j * nc in
+      for c = 0 to nc - 1 do
+        Array.unsafe_set scores c
+          (Array.unsafe_get scores c +. Array.unsafe_get col (base + c))
+      done
     done;
     t.dirty.(i) <- false
 
@@ -1211,19 +1279,26 @@ let storage m =
 (* The first use of a model, once and under one lock: forcing the
    candidate table (a mapped load parses and checksums its sections
    there), ranking the global labels, checksumming the mapped weight
-   tables and building their probe indexes. Forcing a [Lazy.t] from two
-   threads at once raises [CamlinternalLazy.Undefined]; after this the
-   model and its candidates are only read, so any number of threads
-   and domains can share them. *)
+   tables and grouping the weights into rows. Forcing a [Lazy.t] from
+   two threads at once raises [CamlinternalLazy.Undefined]; after this
+   the model and its candidates are only read, so any number of
+   threads and domains can share them. The rows are published last, so
+   a reader that sees them sees verified tables. *)
 let first_use = Mutex.create ()
 
 let prepare m cands =
-  if not (Atomic.get m.ready) then
+  if Option.is_none (Atomic.get m.rows) then
     Mutex.protect first_use (fun () ->
-        if not (Atomic.get m.ready) then begin
+        if Option.is_none (Atomic.get m.rows) then begin
           ignore (Candidates.global_top_ids (Lazy.force cands) 1);
           verify_tables m;
-          Atomic.set m.ready true
+          Atomic.set m.rows
+            (Some
+               {
+                 by_rel_lb = Itbl.rows m.pw ~label_shift:42 ~label_bits:18;
+                 by_la_rel = Itbl.rows m.pw ~label_shift:0 ~label_bits:18;
+                 un_by_rel = Itbl.rows m.un ~label_shift:24 ~label_bits:18;
+               })
         end);
   Lazy.force cands
 
@@ -1424,8 +1499,8 @@ type mapped_table = {
 }
 
 (* [restore], but the weight values stay in the mapped file: only the
-   symbol tables and the probe indexes are built on the heap. Key
-   validation is identical to [restore] — it runs eagerly (the key
+   symbol tables and the key runs live on the heap. Key validation is
+   identical to [restore] — it runs eagerly (the key
    arrays were copied out of the file by the loader), while the float
    payloads are checked lazily by each table's [mt_verify]. *)
 let restore_mapped ~labels ~rels ~pw ~un ~bias =
@@ -1464,5 +1539,5 @@ let restore_mapped ~labels ~rels ~pw ~un ~bias =
     un_u = Itbl.create 0;
     bias_u = Itbl.create 0;
     steps = 0;
-    ready = Atomic.make false;
+    rows = Atomic.make None;
   }

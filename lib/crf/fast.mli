@@ -138,7 +138,11 @@ val map_assignment :
     [create], for any slot [i], [scores t i] is bit-identical to
     mapping {!node_score} over that slot's candidates against the
     current assignment — [set_label] keeps that invariant by marking
-    exactly the slots sharing a factor with the flipped one stale. *)
+    exactly the slots sharing a factor with the flipped one stale.
+    On a model {!prepare} has frozen, factor columns are filled from
+    the model's weight rows (one row per column); otherwise, as under
+    training, one weight lookup per candidate. Both give the same
+    bits. The candidates of a slot need not be distinct. *)
 module Scorer : sig
   type t
 
@@ -236,9 +240,13 @@ val prepare : model -> Candidates.t Lazy.t -> Candidates.t
 (** The model's first use, run once under a lock: force [cands] (the
     candidate table paired with [model]; a mapped load parses and
     checksums it here), rank its global labels, verify the mapped
-    weight tables and build their probe indexes. Later calls cost one
-    atomic read. After it, inference only reads the model, so threads
-    and domains may share it. *)
+    weight tables and group the pairwise and unary weights into rows
+    ({!Itbl.rows}) for the ICM column fill. Later calls cost one atomic
+    read. After it the model is frozen: inference only reads it, so
+    threads and domains may share it. A prepared model must not be
+    trained further; a table that grows after it falls back to
+    per-candidate lookups. Heap (copy-loaded or freshly trained) and
+    mapped models both get rows. *)
 
 val top_k :
   config ->
@@ -302,9 +310,9 @@ val restore_mapped :
   bias:mapped_table ->
   model
 (** Like {!restore}, but weight values stay in the mapped file — only
-    symbol tables and probe indexes are heap-allocated. Key range
-    checks run eagerly; float payloads are verified lazily at the
-    first inference entry point. Raises [Failure] on out-of-range or
+    symbol tables and key runs are heap-allocated. Key range checks
+    run eagerly; float payloads are verified lazily at the first
+    inference entry point. Raises [Failure] on out-of-range or
     non-canonical keys. *)
 
 val storage : model -> [ `Heap | `Mapped ]

@@ -13,12 +13,14 @@
    differs, which nothing semantic depends on.
 
    A table is either heap-backed (training: mutable, growable) or
-   map-backed (inference over an mmap'd model file: the probe index is
-   a small heap array built from the file's sorted key list, but the
+   map-backed (inference over an mmap'd model file: the keys are the
+   file's sorted key run, copied to the heap by the loader, and the
    values stay in the map as a [Bigarray.Array1] view — never copied).
-   Mapped values are checksummed lazily: the first read-path entry
-   point calls [ensure_verified], which runs the verify closure the
-   loader installed. *)
+   A mapped [get] is a binary search over the key run; inference reads
+   a frozen model through {!rows} instead. Mapped values are
+   checksummed lazily: the first read-path entry point calls
+   [ensure_verified], which runs the verify closure the loader
+   installed. *)
 
 type heap = {
   mutable keys : int array;
@@ -27,19 +29,8 @@ type heap = {
   mutable count : int;
 }
 
-(* The probe index over a mapped table's sorted key run: key slots and
-   the file index each occupied slot maps to. Built lazily — load time
-   stays O(validation), and the build lands with the (also deferred)
-   checksum pass at the first inference entry point. *)
-type index = { x_keys : int array; x_idx : int array; x_mask : int }
-
 type mapped = {
-  m_sorted : int array;  (* the file's key run: strictly increasing *)
-  mutable m_index : index option;
-      (* Benign race (like [m_verified]): concurrent builders compute
-         identical indexes from the immutable [m_sorted] and the last
-         store wins. *)
-  m_count : int;
+  m_keys : int array;  (* the file's key run: strictly increasing *)
   m_vals : (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t;
   m_verify : unit -> unit;
   mutable m_verified : bool;
@@ -61,33 +52,31 @@ let create hint =
       count = 0;
     }
 
-(* Fibonacci-style multiplicative hash; [lsr] keeps the high (well
-   mixed) bits and guarantees a non-negative index. *)
-let[@inline] start mask k = (k * 0x2545F4914F6CDD1D) lsr 16 land mask
+(* Multiplicative hash; [lsr] keeps well-mixed bits and guarantees a
+   non-negative index. The product's bits from 16 up depend only on
+   the key's low bits, so the high half is folded in first: a packed
+   pairwise key keeps its first label in bits 42 and up, and without
+   the fold every key sharing the lower fields would start its probe
+   at the same slot. *)
+let[@inline] start mask k =
+  ((k lxor (k lsr 31)) * 0x2545F4914F6CDD1D) lsr 16 land mask
 
-let length = function H h -> h.count | M m -> m.m_count
+let length = function H h -> h.count | M m -> Array.length m.m_keys
 
 let rec probe keys mask k i =
   let kk = Array.unsafe_get keys i in
   if kk = k || kk = -1 then i else probe keys mask k ((i + 1) land mask)
 
-let build_index m =
-  match m.m_index with
-  | Some x -> x
-  | None ->
-      let n = Array.length m.m_sorted in
-      let cap = ceil_pow2 (max 16 (2 * n)) 16 in
-      let mask = cap - 1 in
-      let keys = Array.make cap (-1) and idx = Array.make cap 0 in
-      Array.iteri
-        (fun j k ->
-          let i = probe keys mask k (start mask k) in
-          Array.unsafe_set keys i k;
-          Array.unsafe_set idx i j)
-        m.m_sorted;
-      let x = { x_keys = keys; x_idx = idx; x_mask = mask } in
-      m.m_index <- Some x;
-      x
+(* Index of [k] in the strictly increasing [keys], or -1. *)
+let find_sorted keys k =
+  let rec go lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) lsr 1 in
+      let x = Array.unsafe_get keys mid in
+      if x = k then mid else if x < k then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length keys)
 
 let[@inline] get t k =
   match t with
@@ -95,11 +84,8 @@ let[@inline] get t k =
       let i = probe h.keys h.mask k (start h.mask k) in
       if Array.unsafe_get h.keys i = k then Array.unsafe_get h.vals i else 0.
   | M m ->
-      let x = match m.m_index with Some x -> x | None -> build_index m in
-      let i = probe x.x_keys x.x_mask k (start x.x_mask k) in
-      if Array.unsafe_get x.x_keys i = k then
-        Bigarray.Array1.unsafe_get m.m_vals (Array.unsafe_get x.x_idx i)
-      else 0.
+      let j = find_sorted m.m_keys k in
+      if j < 0 then 0. else Bigarray.Array1.unsafe_get m.m_vals j
 
 let grow h =
   let old_keys = h.keys and old_vals = h.vals in
@@ -149,10 +135,7 @@ let ensure_verified = function
       if not m.m_verified then begin
         m.m_verify ();
         m.m_verified <- true
-      end;
-      (* Piggyback the index build on the same entry point, so the
-         lookup hot path nearly always takes the [Some] branch. *)
-      if m.m_index = None then ignore (build_index m)
+      end
 
 let of_sorted_mapped ~keys ~vals ~verify =
   let n = Array.length keys in
@@ -160,11 +143,11 @@ let of_sorted_mapped ~keys ~vals ~verify =
     Printf.ksprintf failwith
       "weight table key/value count mismatch: %d keys, %d values" n
       (Bigarray.Array1.dim vals);
-  (* Strictly increasing is the canonical form the writer emits;
-     enforcing it here rejects duplicate keys (which would make
-     lookups depend on probe order) and negative keys (which would
-     collide with the empty-slot sentinel). Validation is eager — a
-     linear pass — while the probe index waits for first use. *)
+  (* Strictly increasing is the canonical form the writer emits and
+     what the binary search in [get] needs; enforcing it here rejects
+     duplicate keys (which would make lookups depend on search order)
+     and negative keys (which would collide with the heap tables'
+     empty-slot sentinel). A linear pass, run eagerly. *)
   let prev = ref (-1) in
   Array.iteri
     (fun j k ->
@@ -174,15 +157,7 @@ let of_sorted_mapped ~keys ~vals ~verify =
           j k !prev;
       prev := k)
     keys;
-  M
-    {
-      m_sorted = keys;
-      m_index = None;
-      m_count = n;
-      m_vals = vals;
-      m_verify = verify;
-      m_verified = false;
-    }
+  M { m_keys = keys; m_vals = vals; m_verify = verify; m_verified = false }
 
 let storage = function H _ -> `Heap | M _ -> `Mapped
 
@@ -198,9 +173,139 @@ let iter f t =
   | M m ->
       (* File order (strictly increasing keys); callers sort anyway. *)
       let vals = m.m_vals in
-      Array.iteri (fun j k -> f k (Bigarray.Array1.unsafe_get vals j)) m.m_sorted
+      Array.iteri (fun j k -> f k (Bigarray.Array1.unsafe_get vals j)) m.m_keys
 
 let fold f t acc =
   let acc = ref acc in
   iter (fun k v -> acc := f k v !acc) t;
   !acc
+
+(* ---------- rows ----------
+
+   The entries of a table grouped by every key field except one, the
+   label field: a row holds the entries whose keys agree outside it.
+   Each entry is one int, its table index (a heap table's slot, a
+   position in a mapped table's key run) above its label, so walking a
+   row reads no keys — only the values of the entries it keeps, from
+   the table's own value array.
+
+   The row index is open-addressed over row keys (a key with its label
+   field zeroed), with [start] as the hash, and stores slot [s]'s row
+   key at [2s] and its first entry at [2s + 1]: the row is
+   [entries.(index.(2s + 1)) .. entries.(index.(2s + 3) - 1)], one
+   cache line for a hit, and an empty slot owns an empty range. *)
+
+type rows = {
+  tbl : t;
+  count : int;  (* the table's length at build time *)
+  lbits : int;
+  index : int array;  (* 2 * (slots + 1) *)
+  imask : int;  (* slots - 1 *)
+  entries : int array;  (* (table index lsl lbits) lor label, row by row *)
+}
+
+(* The slot holding row key [rk], or the empty one ending its run. *)
+let rec row_probe index mask rk i =
+  let x = Array.unsafe_get index (2 * i) in
+  if x = rk || x = -1 then i else row_probe index mask rk ((i + 1) land mask)
+
+let rows t ~label_shift ~label_bits =
+  let keys = match t with H h -> h.keys | M m -> m.m_keys in
+  let lmask = (1 lsl label_bits) - 1 in
+  let clear = lnot (lmask lsl label_shift) in
+  let fresh cap =
+    let x = Array.make (2 * (cap + 1)) 0 in
+    for s = 0 to cap do
+      x.(2 * s) <- -1
+    done;
+    x
+  in
+  (* Pass 1: count each row's entries at [2s + 1], in an index grown
+     with the number of rows (load factor at most 1/2). *)
+  let index = ref (fresh 16) and nrows = ref 0 in
+  let regrow () =
+    let old = !index in
+    let cap = Array.length old - 2 in
+    let x = fresh cap in
+    for s = 0 to (cap / 2) - 1 do
+      let rk = old.(2 * s) in
+      if rk >= 0 then begin
+        let j = row_probe x (cap - 1) rk (start (cap - 1) rk) in
+        x.(2 * j) <- rk;
+        x.((2 * j) + 1) <- old.((2 * s) + 1)
+      end
+    done;
+    index := x
+  in
+  Array.iter
+    (fun k ->
+      if k >= 0 then begin
+        let rk = k land clear and x = !index in
+        let mask = (Array.length x / 2) - 2 in
+        let s = row_probe x mask rk (start mask rk) in
+        if x.(2 * s) < 0 then begin
+          x.(2 * s) <- rk;
+          incr nrows
+        end;
+        x.((2 * s) + 1) <- x.((2 * s) + 1) + 1;
+        if 2 * !nrows >= mask + 1 then regrow ()
+      end)
+    keys;
+  let index = !index in
+  let imask = (Array.length index / 2) - 2 in
+  (* Pass 2: running totals, so slot [s]'s count becomes its row's end;
+     the sentinel slot past the last ends every row. *)
+  for s = 1 to imask + 1 do
+    index.((2 * s) + 1) <- index.((2 * s) + 1) + index.((2 * s) - 1)
+  done;
+  (* Pass 3, in reverse: each entry steps its row's end back by one,
+     leaving the row's first entry there and every row in table
+     order. *)
+  let entries = Array.make index.((2 * imask) + 3) 0 in
+  for i = Array.length keys - 1 downto 0 do
+    let k = keys.(i) in
+    if k >= 0 then begin
+      let rk = k land clear in
+      let s = row_probe index imask rk (start imask rk) in
+      let e = index.((2 * s) + 1) - 1 in
+      index.((2 * s) + 1) <- e;
+      entries.(e) <- (i lsl label_bits) lor ((k lsr label_shift) land lmask)
+    end
+  done;
+  { tbl = t; count = length t; lbits = label_bits; index; imask; entries }
+
+let rows_current r = length r.tbl = r.count
+
+let scatter r k ~sorted ~pos dst ~off ~mult =
+  let index = r.index in
+  let s = row_probe index r.imask k (start r.imask k) in
+  if Array.unsafe_get index (2 * s) = k then begin
+    let entries = r.entries and lbits = r.lbits in
+    let lmask = (1 lsl lbits) - 1 in
+    let nl = Array.length sorted in
+    let first = Array.unsafe_get index ((2 * s) + 1)
+    and last = Array.unsafe_get index ((2 * s) + 3) - 1 in
+    for e = first to last do
+      let x = Array.unsafe_get entries e in
+      let l = x land lmask in
+      (* First position in [sorted] not below [l]. *)
+      let lo = ref 0 and hi = ref nl in
+      while !lo < !hi do
+        let mid = (!lo + !hi) lsr 1 in
+        if Array.unsafe_get sorted mid < l then lo := mid + 1 else hi := mid
+      done;
+      if !lo < nl && Array.unsafe_get sorted !lo = l then begin
+        let i = x lsr lbits in
+        let w =
+          match r.tbl with
+          | H h -> Array.unsafe_get h.vals i
+          | M m -> Bigarray.Array1.unsafe_get m.m_vals i
+        in
+        let p = ref !lo in
+        while !p < nl && Array.unsafe_get sorted !p = l do
+          Array.unsafe_set dst (off + Array.unsafe_get pos !p) (mult *. w);
+          incr p
+        done
+      end
+    done
+  end

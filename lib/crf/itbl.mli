@@ -23,14 +23,14 @@ val of_sorted_mapped :
   vals:(float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t ->
   verify:(unit -> unit) ->
   t
-(** A read-only table whose values stay in [vals] (a view over a
-    mapped file; [vals.(j)] belongs to [keys.(j)]) and whose probe
-    index is built on the heap from [keys]. [keys] must be strictly
-    increasing and non-negative — the canonical order the v4 writer
-    emits — or [Failure] is raised. [verify] is the lazy checksum for
-    the mapped payload: it runs once, at the first read-path entry
-    point that calls {!ensure_verified}, and should raise
-    [Lexkit.Diag.Error] on mismatch. *)
+(** A read-only table over the key run [keys] and the values [vals]
+    (a view over a mapped file; [vals.(j)] belongs to [keys.(j)]),
+    neither copied. [keys] must be strictly increasing and
+    non-negative — the canonical order the v4 writer emits — or
+    [Failure] is raised; {!get} is a binary search over it. [verify]
+    is the lazy checksum for the mapped payload: it runs once, at the
+    first read-path entry point that calls {!ensure_verified}, and
+    should raise [Lexkit.Diag.Error] on mismatch. *)
 
 val ensure_verified : t -> unit
 (** Run the pending [verify] closure of a mapped table (idempotent;
@@ -55,3 +55,40 @@ val set : t -> int -> float -> unit
 val iter : (int -> float -> unit) -> t -> unit
 val fold : (int -> float -> 'a -> 'a) -> t -> 'a -> 'a
 val length : t -> int
+
+(** {2 Rows}
+
+    A table's entries grouped by all key bits except one field, the
+    {e label}: one row per distinct rest-of-key, read in place from the
+    table's own arrays. ICM fills a factor's column for all of a slot's
+    candidate labels with one row lookup instead of one {!get} per
+    candidate. *)
+
+type rows
+
+val rows : t -> label_shift:int -> label_bits:int -> rows
+(** [rows t ~label_shift ~label_bits] groups [t]'s entries by their
+    keys with the field [(k lsr label_shift) land (2^label_bits - 1)]
+    zeroed. The index is sized by the number of rows; the only
+    per-entry array is one int per entry. Reads [t]'s keys only. *)
+
+val rows_current : rows -> bool
+(** No binding was added to the table since {!rows} built the rows
+    (values changed in place stay visible to them). *)
+
+val scatter :
+  rows ->
+  int ->
+  sorted:int array ->
+  pos:int array ->
+  float array ->
+  off:int ->
+  mult:float ->
+  unit
+(** [scatter r k ~sorted ~pos dst ~off ~mult]: for each entry of the
+    row of [k] (a key whose label field is zero) whose label equals
+    [sorted.(p)], sets [dst.(off + pos.(p))] to [mult *. value].
+    [sorted] must be ascending; equal labels all receive the value.
+    Positions whose label the row lacks are left as they are — the
+    caller zeroes them, which equals [mult *. get] for a positive
+    [mult]. *)

@@ -13,8 +13,8 @@
                    view instead of copying it
      4 pw          count n, the n packed keys (key-sorted), then the n
                    raw LE float weights: keys and values in separate
-                   runs, so building the lookup index touches no value
-                   pages
+                   runs, so validating keys and building weight rows
+                   touch no value pages
      5 un          like pw
      6 bias        like pw
      7 cand-global count, (label id, count)
@@ -922,7 +922,7 @@ let checkpoint_load path =
 
    The structure walk below reads everything *except* the weight-value
    runs through the channel: headers, config, symbol tables, candidate
-   ids, the weight keys (which become the heap probe index) and the
+   ids, the weight keys (the mapped tables' sorted key runs) and the
    checksum trailer. The value runs are skipped with [seek_in] — never
    read — and after the walk the file is mapped once and each table
    gets a [Bigarray] slice plus a verify closure that finishes the

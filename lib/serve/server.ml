@@ -510,6 +510,10 @@ let listen_tcp host port backlog =
 let start ?pool engine cfg =
   if cfg.unix_socket = None && cfg.tcp = None then
     invalid_arg "Serve.Server.start: no unix socket and no TCP address";
+  (* A batch of at most 0 jobs takes none: the batcher would spin on a
+     non-empty queue and never drain it. *)
+  if cfg.max_batch < 1 then
+    invalid_arg "Serve.Server.start: max_batch must be at least 1";
   Netio.ignore_sigpipe ();
   let listeners =
     (match cfg.unix_socket with

@@ -47,7 +47,8 @@ type t
 val start : ?pool:Parallel.pool -> Engine.t -> config -> t
 (** Bind the listeners and spawn the I/O threads. Raises on bind
     failure (bad path, port in use, existing non-socket file at the
-    Unix path). [pool] is the domain pool batches fan out over;
+    Unix path), and [Invalid_argument] when no listener is set or
+    [max_batch < 1]. [pool] is the domain pool batches fan out over;
     default is sequential prediction. *)
 
 val request_stop : t -> unit

@@ -291,7 +291,7 @@ let test_identifier_flood () =
    session name, to one engine over one freshly mapped model; replies
    must equal a sequential run's byte for byte. The first requests race
    on the model's deferred first-use work (candidate parse, checksums,
-   probe indexes, label ranking), so each trial maps the file anew. *)
+   weight rows, label ranking), so each trial maps the file anew. *)
 let test_first_use_threads_domains () =
   let lang, path, held_out = List.hd (Lazy.force fixtures) in
   let reqs ~w =

@@ -10,7 +10,13 @@
      must not change eval-level rankings on planted-cluster data;
    - a qcheck property pins the Scorer invariant: cached candidate
      scores equal freshly computed node_score after arbitrary flip
-     sequences. *)
+     sequences, on a model under training (columns filled by weight
+     lookups) and on a prepared model (columns filled from weight
+     rows);
+   - the row primitive itself ([Itbl.scatter]) writes exactly what
+     per-candidate lookups give, on heap and mapped tables, and MAP on
+     serve-style models of all four languages, mapped and copied,
+     agrees between row fill, lookup fill and full rescoring. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -200,12 +206,38 @@ let test_forced_dedup () =
 
 (* ---------- qcheck: Scorer invariant under random flips ---------- *)
 
-let scorer_fixture =
+let temp_model_file model =
+  let path = Filename.temp_file "pigeon-kernels" ".crf" in
+  at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
+  Crf.Serialize.save model path;
+  path
+
+let load_mapped path =
+  match Crf.Serialize.load_mapped path with
+  | Ok (m, _) -> m
+  | Error d -> Alcotest.failf "load %s: %a" path Lexkit.Diag.pp d
+
+let load_copy path =
+  match Crf.Serialize.load path with
+  | Ok m -> m
+  | Error d -> Alcotest.failf "load %s: %a" path Lexkit.Diag.pp d
+
+(* [prepared = false]: the trained model as training leaves it, whose
+   Scorer fills columns by per-candidate lookups. [prepared = true]:
+   the same model saved, loaded as a heap copy and prepared, whose
+   Scorer fills them from weight rows (the golden below covers rows
+   over mapped tables). *)
+let scorer_fixture ~prepared =
   lazy
     (let train_graphs, test_graphs = Lazy.force js_fixture in
      let model = Crf.Train.train ~config:quick_pl train_graphs in
+     let model, cands =
+       if prepared then
+         let m = load_copy (temp_model_file model) in
+         (m, Crf.Train.candidates m)
+       else (model, Lazy.force model.Crf.Train.candidates)
+     in
      let m = model.Crf.Train.fast in
-     let cands = (Lazy.force model.Crf.Train.candidates) in
      (* The test graph with the most unknowns — the richest factor
         neighborhood available. *)
      let g =
@@ -222,20 +254,25 @@ let scorer_fixture =
      in
      (m, g, eg, cand))
 
-let prop_scorer_matches_node_score =
+let prop_scorer_matches_node_score ~prepared =
+  let fixture = scorer_fixture ~prepared in
   QCheck2.Test.make
-    ~name:"kernels: cached scores = fresh node_score after random flips"
+    ~name:
+      ("kernels: cached scores = fresh node_score after random flips"
+      ^ if prepared then " (row fill, prepared model)" else "")
     ~count:60
     QCheck2.Gen.(list_size (int_range 0 40) (pair nat nat))
     (fun flips ->
-      let m, g, eg, cand = Lazy.force scorer_fixture in
+      let m, g, eg, cand = Lazy.force fixture in
       let unknowns = Crf.Fast.unknown_nodes eg in
       let k = Array.length unknowns in
       let syms = Crf.Fast.symbols m in
       let assignment =
         Array.map
           (fun (nd : Crf.Graph.node) ->
-            Crf.Symbols.label syms nd.Crf.Graph.gold)
+            match Crf.Symbols.find_label syms nd.Crf.Graph.gold with
+            | Some l -> l
+            | None -> Crf.Symbols.num_labels syms)
           g.Crf.Graph.nodes
       in
       Array.iteri
@@ -266,6 +303,135 @@ let prop_scorer_matches_node_score =
              scores_ok ())
            flips
          && scores_ok ())
+
+(* ---------- qcheck: row scatter = per-candidate lookups ---------- *)
+
+(* Keys packed like pairwise weights (a, rel, b) in 18/24/18-bit
+   fields, grouped into rows by (rel, b): scattering a row onto any
+   candidate list — unsorted, with repeats, with labels the row lacks —
+   must write exactly [mult *. get] at every candidate, for heap and
+   mapped tables alike. *)
+let prop_rows_match_get =
+  QCheck2.Test.make ~name:"kernels: row scatter = per-candidate get"
+    ~count:100
+    QCheck2.Gen.(
+      triple
+        (list_size (int_range 0 120)
+           (triple (int_bound 7) (int_bound 2) (int_bound 3)))
+        (list_size (int_range 0 12) (int_bound 9))
+        (pair (int_bound 2) (int_bound 3)))
+    (fun (entries, cands, (rel, b)) ->
+      let key a r b = (a lsl 42) lor (r lsl 18) lor b in
+      let keys =
+        Array.of_list
+          (List.sort_uniq compare
+             (List.map (fun (a, r, b) -> key a r b) entries))
+      in
+      let value k = float_of_int ((k lsr 42) + (k land 0xFF)) -. 17.5 in
+      let heap = Crf.Itbl.create 16 in
+      Array.iter (fun k -> Crf.Itbl.set heap k (value k)) keys;
+      let vals =
+        Bigarray.Array1.of_array Bigarray.float64 Bigarray.c_layout
+          (Array.map value keys)
+      in
+      let mapped = Crf.Itbl.of_sorted_mapped ~keys ~vals ~verify:ignore in
+      let cs = Array.of_list cands in
+      let nc = Array.length cs in
+      let pos = Array.init nc Fun.id in
+      Array.stable_sort (fun x y -> compare cs.(x) cs.(y)) pos;
+      let sorted = Array.map (Array.get cs) pos in
+      let mult = 3. in
+      List.for_all
+        (fun tbl ->
+          let rows = Crf.Itbl.rows tbl ~label_shift:42 ~label_bits:18 in
+          let dst = Array.make (nc + 2) 0. in
+          Crf.Itbl.scatter rows (key 0 rel b) ~sorted ~pos dst ~off:1 ~mult;
+          dst.(0) = 0.
+          && dst.(nc + 1) = 0.
+          && Array.for_all Fun.id
+               (Array.mapi
+                  (fun c l ->
+                    dst.(c + 1) = mult *. Crf.Itbl.get tbl (key l rel b))
+                  cs))
+        [ heap; mapped ])
+
+(* Rows are built from a table's entries at one moment: a value
+   changed in place stays visible to them, a key added afterwards
+   makes them stale, and [rows_current] must say so (the Scorer then
+   fills by lookup). *)
+let test_rows_current () =
+  let t = Crf.Itbl.create 16 in
+  Crf.Itbl.set t 5 1.;
+  let rows = Crf.Itbl.rows t ~label_shift:0 ~label_bits:18 in
+  check_bool "fresh rows are current" true (Crf.Itbl.rows_current rows);
+  Crf.Itbl.add t 5 1.;
+  let dst = [| 0. |] in
+  Crf.Itbl.scatter rows 0 ~sorted:[| 5 |] ~pos:[| 0 |] dst ~off:0 ~mult:1.;
+  check_bool "in-place update is current and visible" true
+    (Crf.Itbl.rows_current rows && dst.(0) = 2.);
+  Crf.Itbl.set t 7 1.;
+  check_bool "a new key makes rows stale" false (Crf.Itbl.rows_current rows)
+
+(* ---------- golden: row fill = lookup fill = full rescore ---------- *)
+
+(* Serve-style models (default training config, one per language)
+   loaded the two ways the daemon loads them, mapped and copied. On
+   each load, MAP over held-out files and over the buffers of an edit
+   trace must give one assignment three ways: [Incremental] on a
+   prepared model (columns from weight rows), [Incremental] on an
+   unprepared one (columns from per-candidate lookups) and
+   [Full_rescore]. *)
+let test_row_fill_golden () =
+  let cfg = Crf.Fast.default_config in
+  let full = { cfg with Crf.Fast.engine = Crf.Fast.Full_rescore } in
+  List.iter
+    (fun (lang : Pigeon.Lang.t) ->
+      let render = lang.Pigeon.Lang.render_lang in
+      let repr = Pigeon.Graphs.default_repr ~config:lang.Pigeon.Lang.tuned () in
+      let train_graphs =
+        Pigeon.Task.graphs_of_sources ~repr ~lang ~policy:Pigeon.Graphs.Locals
+          (corpus render ~n:30 ~seed:303)
+      in
+      let path = temp_model_file (Crf.Train.train train_graphs) in
+      let held_out = List.map snd (corpus render ~n:4 ~seed:404) in
+      let edits =
+        Corpus.Gen.edit_trace ~steps:2
+          {
+            Corpus.Gen.default with
+            Corpus.Gen.min_funcs = 8;
+            max_funcs = 10;
+            seed = 505;
+          }
+          render
+      in
+      List.iter
+        (fun (how, load) ->
+          let prepared = load path and unprepared = load path in
+          let cands_p = Crf.Train.candidates prepared in
+          let cands_u = Lazy.force unprepared.Crf.Train.candidates in
+          Crf.Fast.verify_tables unprepared.Crf.Train.fast;
+          let solve cfg cands (model : Crf.Train.model) code =
+            let m = model.Crf.Train.fast in
+            let eg =
+              Pigeon.Graphs.encode repr ~def_labels:lang.Pigeon.Lang.def_labels
+                ~policy:Pigeon.Graphs.Locals m (lang.Pigeon.Lang.parse_tree code)
+            in
+            Crf.Fast.map_assignment cfg cands m eg ~force_gold:false
+              ~seed:cfg.Crf.Fast.seed
+          in
+          List.iteri
+            (fun i code ->
+              let rows = solve cfg cands_p prepared code in
+              let what =
+                Printf.sprintf "%s %s input %d: " lang.Pigeon.Lang.name how i
+              in
+              check_bool (what ^ "row fill = lookup fill") true
+                (rows = solve cfg cands_u unprepared code);
+              check_bool (what ^ "row fill = full rescore") true
+                (rows = solve full cands_p prepared code))
+            (held_out @ edits))
+        [ ("mapped", load_mapped); ("copy", load_copy) ])
+    Pigeon.Lang.all
 
 (* ---------- SGNS: flat kernel vs reference ---------- *)
 
@@ -385,7 +551,15 @@ let () =
             test_inference_engine_golden;
           Alcotest.test_case "forced-candidate dedup spec" `Quick
             test_forced_dedup;
-          QCheck_alcotest.to_alcotest prop_scorer_matches_node_score;
+          QCheck_alcotest.to_alcotest
+            (prop_scorer_matches_node_score ~prepared:false);
+          Alcotest.test_case "row fill golden: 4 languages, mapped and copy"
+            `Quick test_row_fill_golden;
+          QCheck_alcotest.to_alcotest
+            (prop_scorer_matches_node_score ~prepared:true);
+          QCheck_alcotest.to_alcotest prop_rows_match_get;
+          Alcotest.test_case "rows go stale when a key is added" `Quick
+            test_rows_current;
         ] );
       ( "sgns",
         [

@@ -139,6 +139,39 @@ let test_itbl_mapped_read_only () =
     | () -> false
     | exception Invalid_argument _ -> true)
 
+(* A mapped table's [get] is a binary search over the file's key run;
+   a heap table's is a hash probe. They must agree on every stored key
+   (a stored 0. included), on absent keys between stored ones, and on
+   keys below the first and above the last. *)
+let prop_mapped_get_equals_heap =
+  QCheck2.Test.make ~name:"itbl: mapped get = heap get" ~count:200
+    QCheck2.Gen.(list_size (int_range 0 300) (int_bound 5_000_000))
+    (fun ks ->
+      let keys = Array.of_list (List.sort_uniq compare ks) in
+      let n = Array.length keys in
+      let vals = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
+      let heap = Crf.Itbl.create 16 in
+      Array.iteri
+        (fun j k ->
+          let v =
+            if k mod 7 = 0 then 0. else float_of_int (k mod 1001) -. 500.25
+          in
+          vals.{j} <- v;
+          Crf.Itbl.set heap k v)
+        keys;
+      let mapped = Crf.Itbl.of_sorted_mapped ~keys ~vals ~verify:ignore in
+      let around k = List.filter (fun x -> x >= 0) [ k - 1; k; k + 1 ] in
+      let probes =
+        [ 0; max_int ]
+        @ (if n = 0 then [ 1 ]
+           else [ keys.(0) / 2; keys.(n - 1) + 1; keys.(n - 1) * 2 ])
+        @ List.concat_map around (Array.to_list keys)
+      in
+      Crf.Itbl.length mapped = Crf.Itbl.length heap
+      && List.for_all
+           (fun k -> Crf.Itbl.get mapped k = Crf.Itbl.get heap k)
+           probes)
+
 (* ---------- corruption containment ---------- *)
 
 (* A damaged file must answer with [Corrupt_model] — either at load
@@ -327,6 +360,7 @@ let suite =
           test_crf_no_mmap_for_old_formats;
         Alcotest.test_case "mapped tables read-only" `Quick
           test_itbl_mapped_read_only;
+        QCheck_alcotest.to_alcotest prop_mapped_get_equals_heap;
       ] );
     ( "crf-corruption",
       [
