@@ -17,6 +17,12 @@
 let quick = ref false
 let scaled n = if !quick then max 40 (n / 4) else n
 
+(* Every experiment's results file: BENCH_<name>.json for a full run,
+   BENCH_<name>.quick.json (git-ignored) under --quick, so a quick run
+   never overwrites a committed full-run headline. *)
+let bench_file name =
+  Printf.sprintf "BENCH_%s%s.json" name (if !quick then ".quick" else "")
+
 (* ---------- corpora ---------- *)
 
 let corpus_cache :
@@ -654,7 +660,7 @@ let extract_bench () =
     (float total_n /. t_naive)
     (float total_n /. t_iter)
     speedup;
-  let oc = open_out "BENCH_extract.json" in
+  let oc = open_out (bench_file "extract") in
   Printf.fprintf oc "{\n  \"bench\": \"path-extraction\",\n";
   Printf.fprintf oc "  \"quick\": %b,\n  \"languages\": [\n" !quick;
   List.iteri
@@ -687,7 +693,7 @@ let extract_bench () =
     speedup;
   Printf.fprintf oc "}\n";
   close_out oc;
-  Printf.printf "wrote BENCH_extract.json\n%!"
+  Printf.printf "wrote %s\n%!" (bench_file "extract")
 
 (* ---------- parallel scaling (BENCH_parallel.json) ---------- *)
 
@@ -880,7 +886,7 @@ let parallel_bench () =
        checks ran unconditionally\n%!"
       cores;
 
-  let oc = open_out "BENCH_parallel.json" in
+  let oc = open_out (bench_file "parallel") in
   let row_json (jobs, t) base =
     Printf.sprintf "{\"jobs\": %d, \"seconds\": %.4f, \"speedup\": %.3f}" jobs
       t (base /. t)
@@ -907,7 +913,7 @@ let parallel_bench () =
   Printf.fprintf oc "  \"determinism_failures\": %d\n}\n" !failures;
   close_out oc;
   Hashtbl.iter (fun _ p -> Parallel.shutdown p) pools;
-  Printf.printf "wrote BENCH_parallel.json\n%!";
+  Printf.printf "wrote %s\n%!" (bench_file "parallel");
   if !failures > 0 then begin
     Printf.printf "parallel scaling: %d check failures\n%!" !failures;
     exit 1
@@ -1442,7 +1448,7 @@ let train_bench () =
   end
   else Printf.printf "speedup floor not enforced (--quick)\n%!";
 
-  let oc = open_out "BENCH_train.json" in
+  let oc = open_out (bench_file "train") in
   Printf.fprintf oc "{\n  \"bench\": \"training-kernels\",\n";
   Printf.fprintf oc "  \"quick\": %b,\n" !quick;
   Printf.fprintf oc
@@ -1463,7 +1469,7 @@ let train_bench () =
   Printf.fprintf oc "  \"speedup_floor_enforced\": %b,\n" floor_enforced;
   Printf.fprintf oc "  \"failures\": %d\n}\n" !failures;
   close_out oc;
-  Printf.printf "wrote BENCH_train.json\n%!";
+  Printf.printf "wrote %s\n%!" (bench_file "train");
   if !failures > 0 then begin
     Printf.printf "training kernels: %d check failures\n%!" !failures;
     exit 1
@@ -2001,7 +2007,7 @@ let intern_bench () =
   if not floor_enforced then
     Printf.printf "speedup floors not enforced (--quick)\n%!";
 
-  let oc = open_out "BENCH_intern.json" in
+  let oc = open_out (bench_file "intern") in
   Printf.fprintf oc "{\n  \"bench\": \"interned-pipeline\",\n";
   Printf.fprintf oc "  \"quick\": %b,\n" !quick;
   Printf.fprintf oc
@@ -2041,7 +2047,7 @@ let intern_bench () =
   Printf.fprintf oc "  \"floors_enforced\": %b,\n" floor_enforced;
   Printf.fprintf oc "  \"failures\": %d\n}\n" !failures;
   close_out oc;
-  Printf.printf "wrote BENCH_intern.json\n%!";
+  Printf.printf "wrote %s\n%!" (bench_file "intern");
   if !failures > 0 then begin
     Printf.printf "interned pipeline: %d check failures\n%!" !failures;
     exit 1
@@ -2322,7 +2328,7 @@ let serve_bench () =
         (Printf.sprintf "serve overload p99 %.1f ms > floor %.1f ms" ov_p99
            ov_p99_floor_ms)
   end;
-  let oc = open_out "BENCH_serve.json" in
+  let oc = open_out (bench_file "serve") in
   Printf.fprintf oc "{\n";
   Printf.fprintf oc "  \"quick\": %b,\n" !quick;
   Printf.fprintf oc "  \"clients\": %d,\n  \"requests_per_client\": %d,\n"
@@ -2352,7 +2358,7 @@ let serve_bench () =
   Printf.fprintf oc "  }\n";
   Printf.fprintf oc "}\n";
   close_out oc;
-  Printf.printf "wrote BENCH_serve.json\n%!"
+  Printf.printf "wrote %s\n%!" (bench_file "serve")
 
 (* ---------- incremental extraction (BENCH_incremental.json) ---------- *)
 
@@ -2508,7 +2514,7 @@ let incremental_bench () =
     Printf.printf
       "  warn: extraction speedup %.2fx below-floor %.1f (not enforced)\n%!"
       ext_med floor;
-  let oc = open_out "BENCH_incremental.json" in
+  let oc = open_out (bench_file "incremental") in
   Printf.fprintf oc "{\n";
   Printf.fprintf oc "  \"quick\": %b,\n" !quick;
   Printf.fprintf oc "  \"functions\": %d,\n  \"edits\": %d,\n" funcs steps;
@@ -2530,7 +2536,7 @@ let incremental_bench () =
   Printf.fprintf oc "  \"speedup_floor_enforced\": %b\n" floor_enforced;
   Printf.fprintf oc "}\n";
   close_out oc;
-  Printf.printf "wrote BENCH_incremental.json\n%!"
+  Printf.printf "wrote %s\n%!" (bench_file "incremental")
 
 (* ---------- out-of-core training (BENCH_oocore.json) ---------- *)
 
@@ -2748,7 +2754,7 @@ let oocore_bench () =
     fail_or_warn
       (Printf.sprintf "peak live heap %.1f MB exceeds the %d MB cap"
          (mb !peak_live) cap_mb);
-  let oc = open_out "BENCH_oocore.json" in
+  let oc = open_out (bench_file "oocore") in
   Printf.fprintf oc "{\n";
   Printf.fprintf oc "  \"quick\": %b,\n" !quick;
   Printf.fprintf oc "  \"files\": %d,\n" n_files;
@@ -2770,7 +2776,7 @@ let oocore_bench () =
   Printf.fprintf oc "  \"floors_enforced\": %b\n" floors_enforced;
   Printf.fprintf oc "}\n";
   close_out oc;
-  Printf.printf "wrote BENCH_oocore.json\n%!"
+  Printf.printf "wrote %s\n%!" (bench_file "oocore")
 
 (* ---------- driver ---------- *)
 

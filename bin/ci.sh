@@ -6,17 +6,17 @@
 # pass over the front-ends and model loaders, the perfbench self-test
 # (every benchmark workload at tiny scale), the fault-injection
 # bench (10%-corrupt corpora must train with exact skip tallies), the
-# parallel-scaling bench (regenerates BENCH_parallel.json; determinism
+# parallel-scaling bench (determinism
 # checks always, speedup floor only on >= 4-core hosts), the
 # training-kernels bench (old-vs-new CRF/SGNS kernels; quick mode
-# checks equivalence only, full runs also enforce the 2x floor and
-# refresh BENCH_train.json), the interned-pipeline bench (string
+# checks equivalence only, full runs also enforce the 2x floor), the
+# interned-pipeline bench (string
 # pipeline vs shared symbol table, v2 text vs v3 binary models: v3
 # round-trips byte-identically and both loads predict identically;
-# full runs also enforce the encode/load floors and refresh
-# BENCH_intern.json), the v3 round-trip/corruption tests (part of
+# full runs also enforce the encode/load floors), the v3
+# round-trip/corruption tests (part of
 # test_serialize, run under dune runtest), the micro benchmark
-# (which also regenerates BENCH_extract.json and checks the iterator
+# (which also checks the iterator
 # engine against the naive baseline corpus-wide), the serve tests
 # (hostile-request isolation, daemon byte-identity), the netio
 # edge-case tests, the bounded chaos harness (fault injection: torn
@@ -43,7 +43,9 @@
 # byte-identical to an uninterrupted run), and the quick oocore bench
 # (streamed shards, peak-live-heap sampling, in-process kill/resume
 # byte-identity for both trainers; heap-cap and identity floors are
-# enforced on full runs only).
+# enforced on full runs only). Every bench run here is --quick, so it
+# writes BENCH_<name>.quick.json (git-ignored) and leaves the committed
+# full-run BENCH_<name>.json files as they are.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -165,6 +167,19 @@ for args in "--max-batch=0" "--max-queue=-1"; do
   set -e
   if [ "$rc" -ne 2 ]; then
     echo "flag smoke: expected exit 2 for serve $args, got $rc" >&2
+    exit 1
+  fi
+done
+# client flags too, before any connect: a port past 65535, a NaN or
+# infinite timeout (select would raise EINVAL), no connect attempts
+for args in "--tcp=70000" "--timeout=nan" "--timeout=inf" "--retries=0"; do
+  set +e
+  # shellcheck disable=SC2086
+  "$PIGEON_BIN" client $args --op ping 2>/dev/null
+  rc=$?
+  set -e
+  if [ "$rc" -ne 2 ]; then
+    echo "flag smoke: expected exit 2 for client $args, got $rc" >&2
     exit 1
   fi
 done

@@ -99,6 +99,21 @@ let require_at_least_float ~flag min v =
     exit 2
   end
 
+(* Timeouts end up in [Unix.select], whose C stub takes whole seconds
+   as an [int]: past 2^31 it fails with EINVAL. *)
+let require_at_most_float ~flag max v =
+  if not (v <= max) then begin
+    Format.eprintf "error: --%s must be at most %g, got %g@." flag max v;
+    exit 2
+  end
+
+let require_port ~flag p =
+  if p < 0 || p > 65535 then begin
+    Format.eprintf "error: --%s must be a port from 0 to 65535, got %d@." flag
+      p;
+    exit 2
+  end
+
 (* ---------- paths ---------- *)
 
 let length_arg =
@@ -595,17 +610,11 @@ let serve_cmd =
     require_at_least ~flag:"max-mapped-bytes" 0 max_mapped_bytes;
     require_at_least ~flag:"max-session-bytes" 0 max_session_bytes;
     require_at_least_float ~flag:"idle-timeout" 0. idle_timeout;
+    require_at_most_float ~flag:"idle-timeout" 1e9 idle_timeout;
     Option.iter (require_at_least ~flag:"max-input-bytes" 1) max_bytes;
     Option.iter (require_at_least ~flag:"max-depth" 1) max_depth;
     Option.iter (require_at_least ~flag:"max-steps" 1) max_steps;
-    Option.iter
-      (fun port ->
-        if port < 0 || port > 65535 then begin
-          Format.eprintf "error: --tcp must be a port from 0 to 65535, got %d@."
-            port;
-          exit 2
-        end)
-      tcp;
+    Option.iter (require_port ~flag:"tcp") tcp;
     if socket = None && tcp = None then begin
       Format.eprintf "error: pass --socket PATH and/or --tcp PORT@.";
       exit 2
@@ -846,10 +855,13 @@ let client_cmd =
      is gone". *)
   let run socket tcp host op lang word k model_name reload_model reload_w2v
       unload set_default timeout retries session_name edits file =
-    let timeout = if timeout <= 0. then None else Some timeout in
+    Option.iter (require_port ~flag:"tcp") tcp;
+    require_at_least_float ~flag:"timeout" 0. timeout;
+    require_at_most_float ~flag:"timeout" 1e9 timeout;
+    require_at_least ~flag:"retries" 1 retries;
+    let timeout = if timeout = 0. then None else Some timeout in
     let retry =
-      { Serve.Client.default_retry with
-        Serve.Client.attempts = max 1 retries }
+      { Serve.Client.default_retry with Serve.Client.attempts = retries }
     in
     let endpoint =
       match (socket, tcp) with

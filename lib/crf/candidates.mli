@@ -10,7 +10,15 @@
     {!Fast} shares the same table so candidate ids flow into the
     int-keyed engine without re-interning. The string-returning
     functions resolve through the table and exist for the string-side
-    reference engine and serialization. *)
+    reference engine and serialization.
+
+    A table has two forms. Counting ({!create}, {!count_graph}) fills
+    nested hash tables, the tally. The first query freezes it into the
+    read form — flat (key, label, count) runs sorted by (key, label),
+    each with an open-addressed index from key to first entry, and each
+    candidate label's rank in label-string order — and drops the
+    tally. Every query reads the frozen form, and a loaded model
+    ({!of_ids}, {!of_entries}) is built frozen. *)
 
 type t
 
@@ -27,13 +35,16 @@ val create : ?symbols:Symbols.t -> unit -> t
 
 val count_graph : t -> Graph.t -> unit
 (** Fold one graph's gold co-occurrences into the table — the
-    out-of-core counting pass's unit. Safe to interleave with queries
-    (the ranking cache is invalidated), though normal use counts
-    everything first. *)
+    out-of-core counting pass's unit. Count everything before the first
+    query: a query freezes the table, and counting into a frozen table
+    raises [Invalid_argument]. The first query mutates the table, so
+    make it before sharing the table across domains (the trainers and
+    {!Fast.prepare} do). *)
 
 val symbols : t -> Symbols.t
 
 val num_labels : t -> int
+(** Distinct labels of unknown nodes in training. *)
 
 val global_top : t -> int -> string list
 (** The [k] most frequent unknown-node labels in training; ties break
@@ -57,21 +68,17 @@ type slate
 (** A reusable per-label scoring buffer for batch candidate
     generation: flat arrays indexed by interned label id, cleared in
     O(labels touched) via an epoch stamp. One slate serves one caller
-    at a time — allocate one per batch (as {!Fast} does per graph),
-    never share across domains. *)
+    at a time ({!Fast} keeps one in its reused ICM arena); never share
+    one across domains. *)
 
 val slate : unit -> slate
-
-val ids_for_node_into :
-  slate -> t -> Graph.t -> Graph.factor list -> int -> max:int -> int list
-(** {!ids_for_node}, accumulating evidence in [sl] instead of a fresh
-    per-call table. Same labels, same order. *)
 
 (** Id-level slate protocol, for callers (like {!Fast}) that already
     hold resolved rel and gold-label ids: [slate_begin], then any mix
     of [merge_*_id], then [slate_ranked]. Produces exactly what
     {!ids_for_node} would for the same evidence — merge order does not
-    matter, ranking is a strict total order (count desc, label asc). *)
+    matter, ranking is a strict total order (count desc, label string
+    asc). *)
 
 val slate_begin : slate -> t -> unit
 
@@ -83,8 +90,9 @@ val merge_pairwise_id : slate -> t -> dir:int -> rel:int -> other:int -> unit
     is the [a] endpoint, 1 when it is [b]; [other] is the interned
     gold label of the known neighbor. *)
 
-val slate_ranked : slate -> t -> max:int -> int list
-(** Rank merged evidence and top up with globally frequent labels. *)
+val slate_ranked : slate -> t -> max:int -> int array
+(** Rank merged evidence and top up with globally frequent labels not
+    already ranked, to at most [max] labels (a fresh array). *)
 
 val label_count : t -> string -> int
 
@@ -98,22 +106,28 @@ type entry =
 val entries : t -> entry list
 
 val of_entries : ?symbols:Symbols.t -> entry list -> t
-(** Rebuild from entries, interning into [symbols] — pass the model's
-    table so restored candidate ids match restored weight keys. Raises
-    [Failure] on a malformed pairwise key. *)
+(** Rebuild from entries in any order (repeats add up), interning into
+    [symbols] — pass the model's table so restored candidate ids match
+    restored weight keys. Raises [Failure] on a malformed pairwise
+    key. *)
 
-val dump_ids :
-  t -> (int * int) list * (int * int * int) list * (int * int * int) list
-(** (global (label, count), unary (rel, label, count), pairwise
-    (packed key, label, count)) as raw interned ids, each list sorted —
-    a canonical form, so the v3 binary writer is byte-deterministic. *)
+val dump_ids : t -> int array * int array * int array
+(** The frozen runs as raw interned ids: global (label, count) pairs,
+    unary (rel, label, count) and pairwise (packed key, label, count)
+    triples, flattened, each sorted by (key, label) — a canonical form,
+    so the binary writers are byte-deterministic. The arrays are the
+    table's own: read, don't write. *)
 
 val of_ids :
   symbols:Symbols.t ->
-  global:(int * int) list ->
-  unary:(int * int * int) list ->
-  pairwise:(int * int * int) list ->
+  global:int array ->
+  unary:int array ->
+  pairwise:int array ->
   t
-(** Inverse of {!dump_ids} against an already-restored symbol table.
-    Raises [Failure] if any id falls outside the table — a mangled v3
-    file surfaces as a corrupt-model diagnostic, not an array error. *)
+(** Inverse of {!dump_ids} against an already-restored symbol table;
+    the arrays become the table's runs. Raises [Failure] naming the
+    section ([cand-global], [cand-unary], [cand-pw]) if an id falls
+    outside the table, a pairwise key's direction is not 0 or 1, or
+    entries are not strictly increasing by (key, label) — a mangled
+    file surfaces as a corrupt-model diagnostic, not an array error or
+    a double count. *)

@@ -444,10 +444,91 @@ let node_score m eg n assignment l =
     eg.touch_un.(n);
   !s
 
+(* The working memory of MAP inference, reused across graphs: the
+   candidate slate, the Scorer's contribution cells and per-slot
+   bookkeeping (flat arrays, with per-slot offsets), and the dense
+   label map its row fill reads. One spare waits for the next graph,
+   whichever thread or domain gets it first (a concurrent run makes
+   its own), and is given back only when a run completes, since the
+   label map must be all -1 at rest. An array too small for a graph,
+   or for a model's label count, is replaced by a larger one; a spare
+   whose cells outgrew [max_cells] is not kept. *)
+module Arena = struct
+  type t = {
+    slate : Candidates.slate;
+    mutable first : int array;
+        (* per label id: the first position of that label among the
+           candidates of the slot being filled; -1 at rest *)
+    mutable next : int array;
+        (* per candidate position: the next one with the same label,
+           -1 ending the chain *)
+    mutable cells : float array;
+        (* slot [i]'s contribution cells from [coff.(i)], column-major:
+           column [j] holds [nc] cells from [coff.(i) + j * nc] *)
+    mutable score : float array;  (* per candidate, from [soff.(i)] *)
+    mutable bias : float array;  (* likewise: its bias weight *)
+    mutable seen : int array;
+        (* per pairwise column, from [poff.(i)]: the neighbour label it
+           was computed against; -1 = never *)
+    mutable nbr : int array;  (* likewise: its neighbour node *)
+    mutable soff : int array;  (* per slot, and one past the last *)
+    mutable poff : int array;
+    mutable coff : int array;
+    mutable dirty : bool array;  (* per slot *)
+  }
+
+  let make () =
+    {
+      slate = Candidates.slate ();
+      first = [||];
+      next = [||];
+      cells = [||];
+      score = [||];
+      bias = [||];
+      seen = [||];
+      nbr = [||];
+      soff = [||];
+      poff = [||];
+      coff = [||];
+      dirty = [||];
+    }
+
+  let max_cells = 1 lsl 20
+  let spare = Atomic.make None
+
+  let take () =
+    match Atomic.exchange spare None with Some a -> a | None -> make ()
+
+  let give a =
+    if Array.length a.cells <= max_cells then Atomic.set spare (Some a)
+
+  (* Room for [n]; contents are not kept. *)
+  let ints x n =
+    if Array.length x >= n then x else Array.make (max n (2 * Array.length x)) 0
+
+  let floats x n =
+    if Array.length x >= n then x
+    else Array.create_float (max n (2 * Array.length x))
+
+  (* Load a slot's candidates into the label map, so a row entry finds
+     every position of its label; [unload] restores the all -1 rest. *)
+  let load a cs =
+    for c = Array.length cs - 1 downto 0 do
+      let l = cs.(c) in
+      a.next.(c) <- a.first.(l);
+      a.first.(l) <- c
+    done
+
+  let unload a cs =
+    for c = 0 to Array.length cs - 1 do
+      a.first.(cs.(c)) <- -1
+    done
+end
+
 (* Incremental ICM scorer: caches every candidate's per-factor score
    contributions so a sweep only pays for what actually changed.
 
-   Invariant: for a slot [i] with [dirty.(i) = false], [sc.(i).(c)] is
+   Invariant: for a slot [i] that is not dirty, its cached scores are
    bit-identical to [node_score m eg n assignment cand.(i).(c)] run
    fresh against the current assignment. This is exact, not
    approximate: each pairwise column caches the neighbor label it was
@@ -459,12 +540,16 @@ let node_score m eg n assignment l =
    label and are filled once — weights are frozen during inference.
 
    A prepared model's columns are filled from its rows: zero the
-   column, then write [mult *. w] for each entry of the factor's row
-   whose label is a candidate, found by binary search in the slot's
-   sorted candidates. An absent key's [get] is [0.] and every [mult]
-   is a positive count, so [mult *. 0.] is the [+0.] already there and
-   the bits match a fill by [get]. A model under training has no rows
-   (its weights change after every graph) and fills by [get].
+   column, then write [mult *. w] for each entry of the factor's row at
+   every candidate position of its label, found through the arena's
+   dense label map (loaded with the slot's candidates before its first
+   stale column, cleared after). An absent key's [get] is [0.] and
+   every [mult] is a positive count, so [mult *. 0.] is the [+0.]
+   already there and the bits match a fill by [get]. A model under
+   training has no rows (its weights change after every graph) and
+   fills by [get]. Cells are not zeroed at create: unary columns are
+   filled there, pairwise columns at their first refresh ([seen] = -1
+   forces it).
 
    A slot's own label never enters its own candidate scores
    ([Graph.make] rejects self-loop pairwise factors), so flipping slot
@@ -477,23 +562,10 @@ module Scorer = struct
     cand : int array array;
     assignment : int array;
     rows : rows option;  (* the model's rows, when it is prepared *)
-    sorted : int array array;  (* per slot, with rows: candidate labels
-                                  ascending *)
-    pos : int array array;  (* per slot, with rows: each sorted label's
-                               candidate index *)
-    npw : int array;  (* per slot: pairwise column count *)
-    ncols : int array;  (* per slot: pairwise + unary columns *)
-    nb_of : int array array;  (* per slot, per pw column: neighbor node *)
-    contrib : float array array;  (* per slot: ncols * ncand, column-major:
-                                     column j holds cells [j * ncand, ..) *)
-    bias_c : float array array;  (* per slot, per candidate: bias weight *)
-    seen : int array array;  (* per slot, per pw column: label cached
-                                against; -1 = never computed *)
-    sc : float array array;  (* per slot, per candidate: cached score *)
-    dirty : bool array;
+    a : Arena.t;
   }
 
-  let create (m : model) eg cand assignment =
+  let make (a : Arena.t) (m : model) eg cand assignment =
     let k = Array.length eg.unknown in
     let rows =
       match Atomic.get m.rows with
@@ -502,152 +574,170 @@ module Scorer = struct
           Some r
       | _ -> None
     in
-    let npw = Array.make k 0
-    and ncols = Array.make k 0
-    and nb_of = Array.make k [||]
-    and contrib = Array.make k [||]
-    and bias_c = Array.make k [||]
-    and seen = Array.make k [||]
-    and sc = Array.make k [||]
-    and sorted = Array.make k [||]
-    and pos = Array.make k [||] in
+    a.soff <- Arena.ints a.soff (k + 1);
+    a.poff <- Arena.ints a.poff (k + 1);
+    a.coff <- Arena.ints a.coff (k + 1);
+    let ns = ref 0 and np = ref 0 and ncl = ref 0 and widest = ref 0 in
+    for i = 0 to k - 1 do
+      let n = eg.unknown.(i) in
+      let nc = Array.length cand.(i) in
+      let p = Array.length eg.touch_pw.(n)
+      and u = Array.length eg.touch_un.(n) in
+      a.soff.(i) <- !ns;
+      a.poff.(i) <- !np;
+      a.coff.(i) <- !ncl;
+      ns := !ns + nc;
+      np := !np + p;
+      ncl := !ncl + (nc * (p + u));
+      if nc > !widest then widest := nc
+    done;
+    a.soff.(k) <- !ns;
+    a.poff.(k) <- !np;
+    a.coff.(k) <- !ncl;
+    a.cells <- Arena.floats a.cells !ncl;
+    a.score <- Arena.floats a.score !ns;
+    a.bias <- Arena.floats a.bias !ns;
+    a.seen <- Arena.ints a.seen !np;
+    a.nbr <- Arena.ints a.nbr !np;
+    a.next <- Arena.ints a.next !widest;
+    if Array.length a.dirty < k then
+      a.dirty <- Array.make (max k (2 * Array.length a.dirty)) true;
+    let labels = Symbols.num_labels m.syms + 1 in
+    if Option.is_some rows && Array.length a.first < labels then
+      a.first <- Array.make labels (-1);
+    let cells = a.cells in
     for i = 0 to k - 1 do
       let n = eg.unknown.(i) in
       let tp = eg.touch_pw.(n) and tu = eg.touch_un.(n) in
       let np = Array.length tp and nu = Array.length tu in
       let cs = cand.(i) in
       let nc = Array.length cs in
-      npw.(i) <- np;
-      ncols.(i) <- np + nu;
-      nb_of.(i) <-
-        Array.map
-          (fun fi -> if eg.pw_a.(fi) = n then eg.pw_b.(fi) else eg.pw_a.(fi))
-          tp;
-      contrib.(i) <- Array.make (nc * (np + nu)) 0.;
-      bias_c.(i) <- Array.map (fun l -> get m.bias l) cs;
-      seen.(i) <- Array.make np (-1);
-      sc.(i) <- Array.make nc 0.;
-      let col = contrib.(i) in
+      let s0 = a.soff.(i) and p0 = a.poff.(i) and c0 = a.coff.(i) in
+      for j = 0 to np - 1 do
+        let fi = tp.(j) in
+        a.nbr.(p0 + j) <-
+          (if eg.pw_a.(fi) = n then eg.pw_b.(fi) else eg.pw_a.(fi));
+        a.seen.(p0 + j) <- -1
+      done;
+      for c = 0 to nc - 1 do
+        a.bias.(s0 + c) <- get m.bias cs.(c)
+      done;
+      a.dirty.(i) <- true;
       match rows with
       | Some r ->
-          let p = Array.init nc Fun.id in
-          Array.stable_sort (fun a b -> Int.compare cs.(a) cs.(b)) p;
-          pos.(i) <- p;
-          sorted.(i) <- Array.map (Array.get cs) p;
-          for j = 0 to nu - 1 do
-            let fi = tu.(j) in
-            Itbl.scatter r.un_by_rel
-              (un_key 0 eg.un_rel.(fi))
-              ~sorted:sorted.(i) ~pos:p col ~off:((np + j) * nc)
-              ~mult:eg.un_mult.(fi)
-          done
+          if nu > 0 then begin
+            Arena.load a cs;
+            for j = 0 to nu - 1 do
+              let fi = tu.(j) in
+              let base = c0 + ((np + j) * nc) in
+              Array.fill cells base nc 0.;
+              Itbl.scatter r.un_by_rel
+                (un_key 0 eg.un_rel.(fi))
+                ~first:a.first ~next:a.next cells ~off:base
+                ~mult:eg.un_mult.(fi)
+            done;
+            Arena.unload a cs
+          end
       | None ->
           for j = 0 to nu - 1 do
             let fi = tu.(j) in
-            let base = (np + j) * nc in
+            let base = c0 + ((np + j) * nc) in
             for c = 0 to nc - 1 do
-              col.(base + c) <-
+              cells.(base + c) <-
                 eg.un_mult.(fi) *. get m.un (un_key cs.(c) eg.un_rel.(fi))
             done
           done
     done;
-    {
-      m;
-      eg;
-      cand;
-      assignment;
-      rows;
-      sorted;
-      pos;
-      npw;
-      ncols;
-      nb_of;
-      contrib;
-      bias_c;
-      seen;
-      sc;
-      dirty = Array.make k true;
-    }
+    { m; eg; cand; assignment; rows; a }
+
+  let create m eg cand assignment = make (Arena.make ()) m eg cand assignment
 
   let refresh t i =
-    let eg = t.eg in
+    let eg = t.eg and a = t.a in
     let n = eg.unknown.(i) in
     let tp = eg.touch_pw.(n) in
     let cs = t.cand.(i) in
-    let np = t.npw.(i) and nc = Array.length t.cand.(i) in
-    let cols = t.ncols.(i) in
-    let col = t.contrib.(i) and seen = t.seen.(i) and nbs = t.nb_of.(i) in
+    let s0 = a.soff.(i) and p0 = a.poff.(i) and c0 = a.coff.(i) in
+    let nc = a.soff.(i + 1) - s0 and np = a.poff.(i + 1) - p0 in
+    let cols = np + Array.length eg.touch_un.(n) in
+    let cells = a.cells and seen = a.seen and nbr = a.nbr in
+    let loaded = ref false in
     for j = 0 to np - 1 do
-      let cur = t.assignment.(Array.unsafe_get nbs j) in
-      if Array.unsafe_get seen j <> cur then begin
-        Array.unsafe_set seen j cur;
+      let cur = t.assignment.(Array.unsafe_get nbr (p0 + j)) in
+      if Array.unsafe_get seen (p0 + j) <> cur then begin
+        Array.unsafe_set seen (p0 + j) cur;
         let fi = Array.unsafe_get tp j in
         let rel = eg.pw_rel.(fi) and mult = eg.pw_mult.(fi) in
-        let base = j * nc in
+        let base = c0 + (j * nc) in
         match t.rows with
         | Some r ->
-            Array.fill col base nc 0.;
-            let sorted = t.sorted.(i) and pos = t.pos.(i) in
+            if not !loaded then begin
+              Arena.load a cs;
+              loaded := true
+            end;
+            Array.fill cells base nc 0.;
             if eg.pw_a.(fi) = n then
-              Itbl.scatter r.by_rel_lb (pw_key 0 rel cur) ~sorted ~pos col
-                ~off:base ~mult
+              Itbl.scatter r.by_rel_lb (pw_key 0 rel cur) ~first:a.first
+                ~next:a.next cells ~off:base ~mult
             else
-              Itbl.scatter r.by_la_rel (pw_key cur rel 0) ~sorted ~pos col
-                ~off:base ~mult
+              Itbl.scatter r.by_la_rel (pw_key cur rel 0) ~first:a.first
+                ~next:a.next cells ~off:base ~mult
         | None ->
             if eg.pw_a.(fi) = n then
               for c = 0 to nc - 1 do
-                Array.unsafe_set col (base + c)
+                Array.unsafe_set cells (base + c)
                   (mult *. get t.m.pw (pw_key (Array.unsafe_get cs c) rel cur))
               done
             else
               for c = 0 to nc - 1 do
-                Array.unsafe_set col (base + c)
+                Array.unsafe_set cells (base + c)
                   (mult *. get t.m.pw (pw_key cur rel (Array.unsafe_get cs c)))
               done
       end
     done;
-    (* Column by column: each candidate's sum adds its bias, then its
-       cells in column order — [node_score]'s order, so its bits. *)
-    let scores = t.sc.(i) in
-    Array.blit t.bias_c.(i) 0 scores 0 nc;
-    for j = 0 to cols - 1 do
-      let base = j * nc in
-      for c = 0 to nc - 1 do
-        Array.unsafe_set scores c
-          (Array.unsafe_get scores c +. Array.unsafe_get col (base + c))
-      done
+    if !loaded then Arena.unload a cs;
+    (* Each candidate's sum adds its bias, then its cells in column
+       order — [node_score]'s order, so its bits — in a register. *)
+    let score = a.score and bias = a.bias in
+    for c = 0 to nc - 1 do
+      let acc = ref (Array.unsafe_get bias (s0 + c)) and p = ref (c0 + c) in
+      for _ = 1 to cols do
+        acc := !acc +. Array.unsafe_get cells !p;
+        p := !p + nc
+      done;
+      Array.unsafe_set score (s0 + c) !acc
     done;
-    t.dirty.(i) <- false
+    a.dirty.(i) <- false
 
-  let is_dirty t i = t.dirty.(i)
+  let is_dirty t i = t.a.dirty.(i)
 
   let scores t i =
-    if t.dirty.(i) then refresh t i;
-    t.sc.(i)
+    if t.a.dirty.(i) then refresh t i;
+    let s0 = t.a.soff.(i) in
+    Array.sub t.a.score s0 (t.a.soff.(i + 1) - s0)
 
   (* Same argmax as the full-rescore path: first strictly-greater
      candidate wins, ties keep the earlier candidate, an empty set
      keeps the current label. *)
   let best t i =
+    let a = t.a in
     let n = t.eg.unknown.(i) in
     let cs = t.cand.(i) in
     if Array.length cs = 0 then begin
-      t.dirty.(i) <- false;
+      a.dirty.(i) <- false;
       t.assignment.(n)
     end
     else begin
-      if t.dirty.(i) then refresh t i;
-      let scores = t.sc.(i) in
+      if a.dirty.(i) then refresh t i;
+      let s0 = a.soff.(i) and score = a.score in
       let best = ref t.assignment.(n) and best_score = ref neg_infinity in
-      Array.iteri
-        (fun c l ->
-          let s = Array.unsafe_get scores c in
-          if s > !best_score then begin
-            best_score := s;
-            best := l
-          end)
-        cs;
+      for c = 0 to Array.length cs - 1 do
+        let s = Array.unsafe_get score (s0 + c) in
+        if s > !best_score then begin
+          best_score := s;
+          best := Array.unsafe_get cs c
+        end
+      done;
       !best
     end
 
@@ -655,9 +745,10 @@ module Scorer = struct
     let n = t.eg.unknown.(i) in
     if t.assignment.(n) <> l then begin
       t.assignment.(n) <- l;
-      Array.iter
-        (fun j -> Array.unsafe_set t.dirty j true)
-        t.eg.nbr.(i)
+      let dirty = t.a.dirty and nb = t.eg.nbr.(i) in
+      for j = 0 to Array.length nb - 1 do
+        dirty.(nb.(j)) <- true
+      done
     end
 end
 
@@ -670,50 +761,53 @@ let shuffle rng arr =
     arr.(j) <- tmp
   done
 
-(* Candidate label ids for every unknown node; gold appended when
-   [force_gold] (training), so the target is reachable but never wins
-   score ties. [cands] shares the model's symbol table, so its ids are
-   the engine's ids directly — no per-candidate re-interning. *)
-let candidate_ids cfg cands _m eg ~force_gold =
-  (* The encoded graph already carries resolved rel and gold-label
-     ids, so evidence merging is pure int work — no string hashing,
-     no [Graph.touching] materialization. *)
-  let sl = Candidates.slate () in
+(* Candidate label ids for every unknown node, from the arena's slate;
+   gold appended when [force_gold] (training), so the target is
+   reachable but never wins score ties. [cands] shares the model's
+   symbol table, so its ids are the engine's ids directly, and the
+   encoded graph already carries resolved rel and gold-label ids, so
+   evidence merging is pure int work. *)
+let candidates_in (a : Arena.t) cfg cands eg ~force_gold =
+  let sl = a.slate in
   Array.map
     (fun n ->
       Candidates.slate_begin sl cands;
-      Array.iter
-        (fun fi -> Candidates.merge_unary_id sl cands eg.un_rel.(fi))
-        eg.touch_un.(n);
-      Array.iter
-        (fun fi ->
-          let a = eg.pw_a.(fi) and b = eg.pw_b.(fi) in
-          if a = n then begin
-            if not eg.is_unknown.(b) then
-              Candidates.merge_pairwise_id sl cands ~dir:0 ~rel:eg.pw_rel.(fi)
-                ~other:eg.gold.(b)
-          end
-          else if not eg.is_unknown.(a) then
-            Candidates.merge_pairwise_id sl cands ~dir:1 ~rel:eg.pw_rel.(fi)
-              ~other:eg.gold.(a))
-        eg.touch_pw.(n);
-      let ids =
-        Candidates.slate_ranked sl cands ~max:cfg.max_candidates
-      in
-      let ids =
-        if force_gold && not (List.mem eg.gold.(n) ids) then
-          ids @ [ eg.gold.(n) ]
-        else ids
-      in
-      Array.of_list ids)
+      let tu = eg.touch_un.(n) and tp = eg.touch_pw.(n) in
+      for j = 0 to Array.length tu - 1 do
+        Candidates.merge_unary_id sl cands eg.un_rel.(tu.(j))
+      done;
+      for j = 0 to Array.length tp - 1 do
+        let fi = tp.(j) in
+        let a = eg.pw_a.(fi) and b = eg.pw_b.(fi) in
+        if a = n then begin
+          if not eg.is_unknown.(b) then
+            Candidates.merge_pairwise_id sl cands ~dir:0 ~rel:eg.pw_rel.(fi)
+              ~other:eg.gold.(b)
+        end
+        else if not eg.is_unknown.(a) then
+          Candidates.merge_pairwise_id sl cands ~dir:1 ~rel:eg.pw_rel.(fi)
+            ~other:eg.gold.(a)
+      done;
+      let ids = Candidates.slate_ranked sl cands ~max:cfg.max_candidates in
+      let g = eg.gold.(n) in
+      if force_gold && not (Array.exists (fun l -> l = g) ids) then
+        Array.append ids [| g |]
+      else ids)
     eg.unknown
+
+let candidate_ids cfg cands _m eg ~force_gold =
+  let a = Arena.take () in
+  let cand = candidates_in a cfg cands eg ~force_gold in
+  Arena.give a;
+  cand
 
 let map_assignment ?cand cfg cands m eg ~force_gold ~seed =
   let rng = Random.State.make [| seed |] in
+  let arena = Arena.take () in
   let cand =
     match cand with
     | Some c -> c
-    | None -> candidate_ids cfg cands m eg ~force_gold
+    | None -> candidates_in arena cfg cands eg ~force_gold
   in
   let default =
     match Candidates.global_top_ids cands 1 with
@@ -776,7 +870,7 @@ let map_assignment ?cand cfg cands m eg ~force_gold ~seed =
          only slots whose neighborhood changed — the flip sequence,
          pass count and rng consumption match Full_rescore move for
          move, making the result byte-identical. *)
-      let sc = Scorer.create m eg cand assignment in
+      let sc = Scorer.make arena m eg cand assignment in
       Array.iteri
         (fun i n ->
           let l = Scorer.best sc i in
@@ -798,6 +892,7 @@ let map_assignment ?cand cfg cands m eg ~force_gold ~seed =
             end)
           order
       done);
+  Arena.give arena;
   assignment
 
 (* Perceptron update: +1 on gold features, -1 on predicted features,
@@ -1181,7 +1276,7 @@ let train ?pool cfg cands graphs =
   let cand_cache =
     Array.map (fun eg -> candidate_ids cfg cands m eg ~force_gold:true) egs
   in
-  (* Force the lazy global-top cache before any fan-out. *)
+  (* Freeze the candidate table (a query does) before any fan-out. *)
   ignore (Candidates.global_top cands 1);
   let n = Array.length egs in
   for it = 0 to cfg.iterations - 1 do
@@ -1277,9 +1372,10 @@ let storage m =
   | _ -> `Mapped
 
 (* The first use of a model, once and under one lock: forcing the
-   candidate table (a mapped load parses and checksums its sections
-   there), ranking the global labels, checksumming the mapped weight
-   tables and grouping the weights into rows. Forcing a [Lazy.t] from
+   candidate table (a loaded model checksums its sections and reads
+   them into the table's flat runs there) and making the query that
+   freezes a trained one, checksumming the mapped weight tables and
+   grouping the weights into rows. Forcing a [Lazy.t] from
    two threads at once raises [CamlinternalLazy.Undefined]; after this
    the model and its candidates are only read, so any number of
    threads and domains can share them. The rows are published last, so

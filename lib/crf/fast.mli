@@ -120,7 +120,8 @@ val candidate_ids :
   config -> Candidates.t -> model -> egraph -> force_gold:bool ->
   int array array
 (** Interned candidate label ids per unknown slot; the gold label is
-    appended when [force_gold] and absent. *)
+    appended when [force_gold] and absent. Evidence is merged on the
+    candidate slate of the reused MAP arena (see {!map_assignment}). *)
 
 val map_assignment :
   ?cand:int array array ->
@@ -132,7 +133,13 @@ val map_assignment :
   seed:int ->
   int array
 (** ICM MAP inference over the full node set (known nodes stay gold);
-    dispatches on [config.engine]. *)
+    dispatches on [config.engine]. Its working memory — candidate
+    slate, score cache, per-slot bookkeeping, the row fill's label map
+    — is one arena reused across graphs: the spare is taken with an
+    atomic exchange and given back when the run completes, a
+    concurrent run makes its own, and a spare too small for a graph or
+    a model's label count is grown (one past a fixed size is not
+    kept). *)
 
 (** Incremental scoring cache behind {!engine} [Incremental]. After
     [create], for any slot [i], [scores t i] is bit-identical to
@@ -140,7 +147,8 @@ val map_assignment :
     current assignment — [set_label] keeps that invariant by marking
     exactly the slots sharing a factor with the flipped one stale.
     On a model {!prepare} has frozen, factor columns are filled from
-    the model's weight rows (one row per column); otherwise, as under
+    the model's weight rows (one row per column, its entries placed
+    through a dense label → candidate map); otherwise, as under
     training, one weight lookup per candidate. Both give the same
     bits. The candidates of a slot need not be distinct. *)
 module Scorer : sig
@@ -148,11 +156,12 @@ module Scorer : sig
 
   val create : model -> egraph -> int array array -> int array -> t
   (** [create m eg cand assignment]: [cand] in slot order (as from
-      {!candidate_ids}); [assignment] is live — [set_label] writes it. *)
+      {!candidate_ids}); [assignment] is live — [set_label] writes it.
+      The scorer gets an arena of its own. *)
 
   val scores : t -> int -> float array
-  (** Cached candidate scores for a slot, refreshed if stale. The
-      returned array is the internal buffer: read, don't keep. *)
+  (** Cached candidate scores for a slot, refreshed if stale (a
+      copy). *)
 
   val best : t -> int -> int
   (** Argmax label for a slot (first-wins on ties, current label when
@@ -238,13 +247,14 @@ val predict_encoded :
 
 val prepare : model -> Candidates.t Lazy.t -> Candidates.t
 (** The model's first use, run once under a lock: force [cands] (the
-    candidate table paired with [model]; a mapped load parses and
-    checksums it here), rank its global labels, verify the mapped
-    weight tables and group the pairwise and unary weights into rows
-    ({!Itbl.rows}) for the ICM column fill. Later calls cost one atomic
-    read. After it the model is frozen: inference only reads it, so
-    threads and domains may share it. A prepared model must not be
-    trained further; a table that grows after it falls back to
+    candidate table paired with [model]; a loaded model checksums its
+    candidate sections and reads them into the table's flat runs here,
+    a trained one freezes its counts), rank its global labels, verify
+    the mapped weight tables and group the pairwise and unary weights
+    into rows ({!Itbl.rows}) for the ICM column fill. Later calls cost
+    one atomic read. After it the model is frozen: inference only reads
+    it, so threads and domains may share it. A prepared model must not
+    be trained further; a table that grows after it falls back to
     per-candidate lookups. Heap (copy-loaded or freshly trained) and
     mapped models both get rows. *)
 

@@ -180,6 +180,53 @@ let fold f t acc =
   iter (fun k v -> acc := f k v !acc) t;
   !acc
 
+(* ---------- index ----------
+
+   An open-addressed map from non-negative int keys to ints, two ints
+   per slot with [start] as the hash: slot [s] holds its key at [2s]
+   (-1 = empty) and its value at [2s + 1]. One slot past the last is
+   never probed; [rows] keeps its row ends there. The weight rows index
+   their row keys with one, and {!Candidates} its flat count runs. *)
+
+type index = int array
+
+(* [slots] empty slots (a power of two) plus the spare one. *)
+let index_make slots =
+  let x = Array.make (2 * (slots + 1)) 0 in
+  for s = 0 to slots do
+    x.(2 * s) <- -1
+  done;
+  x
+
+let[@inline] index_mask x = (Array.length x / 2) - 2
+
+(* The slot holding [k], or the empty one ending its run. *)
+let rec index_slot x mask k i =
+  let y = Array.unsafe_get x (2 * i) in
+  if y = k || y = -1 then i else index_slot x mask k ((i + 1) land mask)
+
+let index_runs a ~stride =
+  let n = Array.length a / stride in
+  let distinct = ref 0 in
+  for e = 0 to n - 1 do
+    if e = 0 || a.(stride * e) <> a.(stride * (e - 1)) then incr distinct
+  done;
+  let x = index_make (ceil_pow2 (2 * !distinct) 16) in
+  let mask = index_mask x in
+  for e = n - 1 downto 0 do
+    let k = a.(stride * e) in
+    let s = index_slot x mask k (start mask k) in
+    x.(2 * s) <- k;
+    x.((2 * s) + 1) <- e
+  done;
+  x
+
+let index_find x k =
+  let mask = index_mask x in
+  let s = index_slot x mask k (start mask k) in
+  if Array.unsafe_get x (2 * s) = k then Array.unsafe_get x ((2 * s) + 1)
+  else -1
+
 (* ---------- rows ----------
 
    The entries of a table grouped by every key field except one, the
@@ -189,48 +236,35 @@ let fold f t acc =
    row reads no keys — only the values of the entries it keeps, from
    the table's own value array.
 
-   The row index is open-addressed over row keys (a key with its label
-   field zeroed), with [start] as the hash, and stores slot [s]'s row
-   key at [2s] and its first entry at [2s + 1]: the row is
-   [entries.(index.(2s + 1)) .. entries.(index.(2s + 3) - 1)], one
-   cache line for a hit, and an empty slot owns an empty range. *)
+   The row index is an {!index} over row keys (a key with its label
+   field zeroed) whose value at slot [s] is the slot's first entry: the
+   row is [entries.(index.(2s + 1)) .. entries.(index.(2s + 3) - 1)],
+   one cache line for a hit, and an empty slot owns an empty range. *)
 
 type rows = {
   tbl : t;
   count : int;  (* the table's length at build time *)
   lbits : int;
-  index : int array;  (* 2 * (slots + 1) *)
+  index : index;  (* 2 * (slots + 1) *)
   imask : int;  (* slots - 1 *)
   entries : int array;  (* (table index lsl lbits) lor label, row by row *)
 }
-
-(* The slot holding row key [rk], or the empty one ending its run. *)
-let rec row_probe index mask rk i =
-  let x = Array.unsafe_get index (2 * i) in
-  if x = rk || x = -1 then i else row_probe index mask rk ((i + 1) land mask)
 
 let rows t ~label_shift ~label_bits =
   let keys = match t with H h -> h.keys | M m -> m.m_keys in
   let lmask = (1 lsl label_bits) - 1 in
   let clear = lnot (lmask lsl label_shift) in
-  let fresh cap =
-    let x = Array.make (2 * (cap + 1)) 0 in
-    for s = 0 to cap do
-      x.(2 * s) <- -1
-    done;
-    x
-  in
   (* Pass 1: count each row's entries at [2s + 1], in an index grown
      with the number of rows (load factor at most 1/2). *)
-  let index = ref (fresh 16) and nrows = ref 0 in
+  let index = ref (index_make 16) and nrows = ref 0 in
   let regrow () =
     let old = !index in
     let cap = Array.length old - 2 in
-    let x = fresh cap in
+    let x = index_make cap in
     for s = 0 to (cap / 2) - 1 do
       let rk = old.(2 * s) in
       if rk >= 0 then begin
-        let j = row_probe x (cap - 1) rk (start (cap - 1) rk) in
+        let j = index_slot x (cap - 1) rk (start (cap - 1) rk) in
         x.(2 * j) <- rk;
         x.((2 * j) + 1) <- old.((2 * s) + 1)
       end
@@ -241,8 +275,8 @@ let rows t ~label_shift ~label_bits =
     (fun k ->
       if k >= 0 then begin
         let rk = k land clear and x = !index in
-        let mask = (Array.length x / 2) - 2 in
-        let s = row_probe x mask rk (start mask rk) in
+        let mask = index_mask x in
+        let s = index_slot x mask rk (start mask rk) in
         if x.(2 * s) < 0 then begin
           x.(2 * s) <- rk;
           incr nrows
@@ -252,9 +286,9 @@ let rows t ~label_shift ~label_bits =
       end)
     keys;
   let index = !index in
-  let imask = (Array.length index / 2) - 2 in
+  let imask = index_mask index in
   (* Pass 2: running totals, so slot [s]'s count becomes its row's end;
-     the sentinel slot past the last ends every row. *)
+     the spare slot past the last ends every row. *)
   for s = 1 to imask + 1 do
     index.((2 * s) + 1) <- index.((2 * s) + 1) + index.((2 * s) - 1)
   done;
@@ -266,7 +300,7 @@ let rows t ~label_shift ~label_bits =
     let k = keys.(i) in
     if k >= 0 then begin
       let rk = k land clear in
-      let s = row_probe index imask rk (start imask rk) in
+      let s = index_slot index imask rk (start imask rk) in
       let e = index.((2 * s) + 1) - 1 in
       index.((2 * s) + 1) <- e;
       entries.(e) <- (i lsl label_bits) lor ((k lsr label_shift) land lmask)
@@ -276,35 +310,27 @@ let rows t ~label_shift ~label_bits =
 
 let rows_current r = length r.tbl = r.count
 
-let scatter r k ~sorted ~pos dst ~off ~mult =
+let scatter r k ~first ~next dst ~off ~mult =
   let index = r.index in
-  let s = row_probe index r.imask k (start r.imask k) in
+  let s = index_slot index r.imask k (start r.imask k) in
   if Array.unsafe_get index (2 * s) = k then begin
     let entries = r.entries and lbits = r.lbits in
     let lmask = (1 lsl lbits) - 1 in
-    let nl = Array.length sorted in
-    let first = Array.unsafe_get index ((2 * s) + 1)
-    and last = Array.unsafe_get index ((2 * s) + 3) - 1 in
-    for e = first to last do
+    for e = Array.unsafe_get index ((2 * s) + 1)
+        to Array.unsafe_get index ((2 * s) + 3) - 1 do
       let x = Array.unsafe_get entries e in
-      let l = x land lmask in
-      (* First position in [sorted] not below [l]. *)
-      let lo = ref 0 and hi = ref nl in
-      while !lo < !hi do
-        let mid = (!lo + !hi) lsr 1 in
-        if Array.unsafe_get sorted mid < l then lo := mid + 1 else hi := mid
-      done;
-      if !lo < nl && Array.unsafe_get sorted !lo = l then begin
+      let p = ref first.(x land lmask) in
+      if !p >= 0 then begin
         let i = x lsr lbits in
         let w =
           match r.tbl with
           | H h -> Array.unsafe_get h.vals i
           | M m -> Bigarray.Array1.unsafe_get m.m_vals i
         in
-        let p = ref !lo in
-        while !p < nl && Array.unsafe_get sorted !p = l do
-          Array.unsafe_set dst (off + Array.unsafe_get pos !p) (mult *. w);
-          incr p
+        let v = mult *. w in
+        while !p >= 0 do
+          dst.(off + !p) <- v;
+          p := next.(!p)
         done
       end
     done

@@ -56,6 +56,22 @@ val iter : (int -> float -> unit) -> t -> unit
 val fold : (int -> float -> 'a -> 'a) -> t -> 'a -> 'a
 val length : t -> int
 
+(** {2 Index}
+
+    An open-addressed map from non-negative int keys to ints, hashed
+    like the tables. The weight rows below index their row keys with
+    one; {!Candidates} indexes its flat count runs with another. *)
+
+type index
+
+val index_runs : int array -> stride:int -> index
+(** [index_runs a ~stride] reads [a] as entries of [stride] ints whose
+    first int, the key, is non-negative and ascending, and maps each
+    distinct key to the number of its first entry. *)
+
+val index_find : index -> int -> int
+(** The value bound to a key, or [-1]. *)
+
 (** {2 Rows}
 
     A table's entries grouped by all key bits except one field, the
@@ -79,16 +95,18 @@ val rows_current : rows -> bool
 val scatter :
   rows ->
   int ->
-  sorted:int array ->
-  pos:int array ->
+  first:int array ->
+  next:int array ->
   float array ->
   off:int ->
   mult:float ->
   unit
-(** [scatter r k ~sorted ~pos dst ~off ~mult]: for each entry of the
-    row of [k] (a key whose label field is zero) whose label equals
-    [sorted.(p)], sets [dst.(off + pos.(p))] to [mult *. value].
-    [sorted] must be ascending; equal labels all receive the value.
-    Positions whose label the row lacks are left as they are — the
-    caller zeroes them, which equals [mult *. get] for a positive
-    [mult]. *)
+(** [scatter r k ~first ~next dst ~off ~mult]: for each entry of the
+    row of [k] (a key whose label field is zero), with label [l] and
+    value [w], sets [dst.(off + p)] to [mult *. w] at every position
+    [p] of the chain [first.(l)], [next.(first.(l))], ... up to the
+    first negative link. [first] is a dense label → position map
+    covering every label of the table, [-1] for labels that take no
+    value; a label may own several positions. Positions whose label
+    the row lacks are left as they are — the caller zeroes them, which
+    equals [mult *. get] for a positive [mult]. *)

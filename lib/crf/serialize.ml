@@ -129,6 +129,23 @@ let to_channel_v2 (model : Train.model) oc =
 let n_sections = 9
 let pad_tag = 254
 
+(* Sections 7-9, the same in v3 and v4: each frozen candidate run as
+   its entry count, then its ints as they are — (label, count) or
+   (key, label, count) per entry, sorted by (key, label). *)
+let cand_sections section (model : Train.model) =
+  let open Lexkit.Binio in
+  let global, unary, pairwise =
+    Candidates.dump_ids (Lazy.force model.Train.candidates)
+  in
+  let run tag stride a =
+    section tag (fun b ->
+        w_int b (Array.length a / stride);
+        Array.iter (w_int b) a)
+  in
+  run 7 2 global;
+  run 8 3 unary;
+  run 9 3 pairwise
+
 (* Version-3 binary writer, kept so the loaders' v3 compatibility path
    stays testable against freshly written files. *)
 let to_string_v3 (model : Train.model) =
@@ -169,30 +186,7 @@ let to_string_v3 (model : Train.model) =
   weights 4 d.Fast.d_pw;
   weights 5 d.Fast.d_un;
   weights 6 d.Fast.d_bias;
-  let global, unary, pairwise = Candidates.dump_ids (Lazy.force model.Train.candidates) in
-  section 7 (fun b ->
-      w_int b (List.length global);
-      List.iter
-        (fun (l, n) ->
-          w_int b l;
-          w_int b n)
-        global);
-  section 8 (fun b ->
-      w_int b (List.length unary);
-      List.iter
-        (fun (r, l, n) ->
-          w_int b r;
-          w_int b l;
-          w_int b n)
-        unary);
-  section 9 (fun b ->
-      w_int b (List.length pairwise);
-      List.iter
-        (fun (k, l, n) ->
-          w_int b k;
-          w_int b l;
-          w_int b n)
-        pairwise);
+  cand_sections section model;
   let body = Buffer.contents buf in
   let out = Buffer.create (String.length body + 64) in
   Buffer.add_string out (magic 3);
@@ -257,30 +251,7 @@ let to_string (model : Train.model) =
   weights 4 d.Fast.d_pw;
   weights 5 d.Fast.d_un;
   weights 6 d.Fast.d_bias;
-  let global, unary, pairwise = Candidates.dump_ids (Lazy.force model.Train.candidates) in
-  section 7 (fun b ->
-      w_int b (List.length global);
-      List.iter
-        (fun (l, n) ->
-          w_int b l;
-          w_int b n)
-        global);
-  section 8 (fun b ->
-      w_int b (List.length unary);
-      List.iter
-        (fun (r, l, n) ->
-          w_int b r;
-          w_int b l;
-          w_int b n)
-        unary);
-  section 9 (fun b ->
-      w_int b (List.length pairwise);
-      List.iter
-        (fun (k, l, n) ->
-          w_int b k;
-          w_int b l;
-          w_int b n)
-        pairwise);
+  cand_sections section model;
   let out = Buffer.create (Buffer.length buf + 128) in
   Buffer.add_string out (magic format_version);
   Buffer.add_char out '\n';
@@ -348,28 +319,26 @@ let read_strings r what =
   let n = count_ what (r_int r what) in
   List.init n (fun _ -> r_string r what)
 
-let read_cand_global r =
+(* A candidate section: its entry count, then [stride] ints per entry,
+   read straight into the run {!Candidates.of_ids} keeps. The count is
+   checked against the section's length (it ends at [stop]) before any
+   array is allocated. *)
+let read_cand_run r ~stop ~stride what =
   let open Lexkit.Binio in
-  let n = count_ "cand-global" (r_int r "cand-global") in
-  List.init n (fun _ ->
-      let l = r_int r "cand-global" in
-      (l, r_int r "cand-global"))
+  let n = count_ what (r_int r what) in
+  let rem = stop - offset r in
+  if rem / (8 * stride) <> n || rem mod (8 * stride) <> 0 then
+    Printf.ksprintf failwith "%s: length mismatch for %d entries" what n;
+  Array.init (stride * n) (fun _ -> r_int r what)
 
-let read_cand_unary r =
-  let open Lexkit.Binio in
-  let n = count_ "cand-unary" (r_int r "cand-unary") in
-  List.init n (fun _ ->
-      let rel = r_int r "cand-unary" in
-      let l = r_int r "cand-unary" in
-      (rel, l, r_int r "cand-unary"))
-
-let read_cand_pw r =
-  let open Lexkit.Binio in
-  let n = count_ "cand-pw" (r_int r "cand-pw") in
-  List.init n (fun _ ->
-      let k = r_int r "cand-pw" in
-      let l = r_int r "cand-pw" in
-      (k, l, r_int r "cand-pw"))
+let read_cands sect r =
+  let run tag stride what =
+    sect tag what (fun stop -> read_cand_run r ~stop ~stride what)
+  in
+  let global = run 7 2 "cand-global" in
+  let unary = run 8 3 "cand-unary" in
+  let pairwise = run 9 3 "cand-pw" in
+  (global, unary, pairwise)
 
 (* [ids] is deferred: the mapped loader parses (and checksums) the
    candidate sections only when inference first needs them. Structural
@@ -408,15 +377,15 @@ let parse_v3 ?source body =
     let r = reader body in
     let sect tag what fill =
       let stop = r_section r ~tag ~what in
-      let v = fill () in
+      let v = fill stop in
       end_section r ~stop ~what;
       v
     in
-    let config = sect 1 "config" (fun () -> read_config r) in
-    let labels = sect 2 "labels" (fun () -> read_strings r "labels") in
-    let rels = sect 3 "rels" (fun () -> read_strings r "rels") in
+    let config = sect 1 "config" (fun _ -> read_config r) in
+    let labels = sect 2 "labels" (fun _ -> read_strings r "labels") in
+    let rels = sect 3 "rels" (fun _ -> read_strings r "rels") in
     let weights tag what =
-      sect tag what (fun () ->
+      sect tag what (fun _ ->
           let n = count_ what (r_int r what) in
           List.init n (fun _ ->
               let k = r_int r what in
@@ -426,11 +395,9 @@ let parse_v3 ?source body =
     let pw = weights 4 "pw" in
     let un = weights 5 "un" in
     let bias = weights 6 "bias" in
-    let global = sect 7 "cand-global" (fun () -> read_cand_global r) in
-    let unary = sect 8 "cand-unary" (fun () -> read_cand_unary r) in
-    let pairwise = sect 9 "cand-pw" (fun () -> read_cand_pw r) in
+    let cands = read_cands sect r in
     let body_len = offset r in
-    sect 255 "end" (fun () ->
+    sect 255 "end" (fun _ ->
         let n = r_int r "section count" in
         if n <> n_sections then
           Printf.ksprintf failwith
@@ -444,7 +411,7 @@ let parse_v3 ?source body =
       Fast.restore
         { Fast.d_labels = labels; d_rels = rels; d_pw = pw; d_un = un; d_bias = bias }
     in
-    assemble ?source ~config ~fast ~ids:(fun () -> (global, unary, pairwise)) ()
+    assemble ?source ~config ~fast ~ids:(fun () -> cands) ()
   with
   | model -> model
   | exception (Failure msg | Invalid_argument msg) ->
@@ -489,9 +456,7 @@ let parse_v4 ?source body =
     let pw = weights 4 "pw" in
     let un = weights 5 "un" in
     let bias = weights 6 "bias" in
-    let global = sect 7 "cand-global" (fun _ -> read_cand_global r) in
-    let unary = sect 8 "cand-unary" (fun _ -> read_cand_unary r) in
-    let pairwise = sect 9 "cand-pw" (fun _ -> read_cand_pw r) in
+    let cands = read_cands sect r in
     let stop = r_section r ~tag:255 ~what:"end" in
     let entries = List.rev !sums in
     let n = r_int r "section count" in
@@ -516,7 +481,7 @@ let parse_v4 ?source body =
       Fast.restore
         { Fast.d_labels = labels; d_rels = rels; d_pw = pw; d_un = un; d_bias = bias }
     in
-    assemble ?source ~config ~fast ~ids:(fun () -> (global, unary, pairwise)) ()
+    assemble ?source ~config ~fast ~ids:(fun () -> cands) ()
   with
   | model -> model
   | exception (Failure msg | Invalid_argument msg) ->
@@ -1124,23 +1089,17 @@ let map_v4 path ic size =
   in
   (* checksummed + parsed on first inference, inside [assemble]'s
      corruption-containment wrapper *)
-  let parse_cands l parse =
+  let parse_cands l ~stride =
     if checksum l.l_payload <> l.l_expect then
       Printf.ksprintf failwith
         "checksum mismatch in section %s: model data is corrupted" l.l_what;
-    let r = reader l.l_payload in
-    let v = parse r in
-    if not (at_end r) then
-      Printf.ksprintf failwith
-        "section %s length mismatch: payload ends at byte %d, header said %d"
-        l.l_what (offset r)
-        (String.length l.l_payload);
-    v
+    read_cand_run (reader l.l_payload) ~stop:(String.length l.l_payload)
+      ~stride l.l_what
   in
   let ids () =
-    ( parse_cands global read_cand_global,
-      parse_cands unary read_cand_unary,
-      parse_cands pairwise read_cand_pw )
+    ( parse_cands global ~stride:2,
+      parse_cands unary ~stride:3,
+      parse_cands pairwise ~stride:3 )
   in
   (assemble ~source:path ~config ~fast ~ids (), Lexkit.Mmap.size mm)
 

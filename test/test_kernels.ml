@@ -13,10 +13,11 @@
      sequences, on a model under training (columns filled by weight
      lookups) and on a prepared model (columns filled from weight
      rows);
-   - the row primitive itself ([Itbl.scatter]) writes exactly what
-     per-candidate lookups give, on heap and mapped tables, and MAP on
-     serve-style models of all four languages, mapped and copied,
-     agrees between row fill, lookup fill and full rescoring. *)
+   - the row primitive itself ([Itbl.scatter], through a dense label
+     map) writes exactly what per-candidate lookups give, on heap and
+     mapped tables, and MAP on serve-style models of all four
+     languages, mapped and copied, agrees between row fill, lookup fill
+     and full rescoring. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -337,15 +338,20 @@ let prop_rows_match_get =
       let mapped = Crf.Itbl.of_sorted_mapped ~keys ~vals ~verify:ignore in
       let cs = Array.of_list cands in
       let nc = Array.length cs in
-      let pos = Array.init nc Fun.id in
-      Array.stable_sort (fun x y -> compare cs.(x) cs.(y)) pos;
-      let sorted = Array.map (Array.get cs) pos in
+      (* The dense label map: each label's first position, chained
+         through [next] to its repeats; -1 for labels not among the
+         candidates. *)
+      let first = Array.make 16 (-1) and next = Array.make nc (-1) in
+      for c = nc - 1 downto 0 do
+        next.(c) <- first.(cs.(c));
+        first.(cs.(c)) <- c
+      done;
       let mult = 3. in
       List.for_all
         (fun tbl ->
           let rows = Crf.Itbl.rows tbl ~label_shift:42 ~label_bits:18 in
           let dst = Array.make (nc + 2) 0. in
-          Crf.Itbl.scatter rows (key 0 rel b) ~sorted ~pos dst ~off:1 ~mult;
+          Crf.Itbl.scatter rows (key 0 rel b) ~first ~next dst ~off:1 ~mult;
           dst.(0) = 0.
           && dst.(nc + 1) = 0.
           && Array.for_all Fun.id
@@ -366,7 +372,9 @@ let test_rows_current () =
   check_bool "fresh rows are current" true (Crf.Itbl.rows_current rows);
   Crf.Itbl.add t 5 1.;
   let dst = [| 0. |] in
-  Crf.Itbl.scatter rows 0 ~sorted:[| 5 |] ~pos:[| 0 |] dst ~off:0 ~mult:1.;
+  let first = Array.make 8 (-1) in
+  first.(5) <- 0;
+  Crf.Itbl.scatter rows 0 ~first ~next:[| -1 |] dst ~off:0 ~mult:1.;
   check_bool "in-place update is current and visible" true
     (Crf.Itbl.rows_current rows && dst.(0) = 2.);
   Crf.Itbl.set t 7 1.;

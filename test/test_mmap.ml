@@ -259,6 +259,96 @@ let test_crf_mapped_short_files () =
           String.make 64 '\x00';
         ])
 
+(* ---------- hostile candidate sections ----------
+
+   Damage a checksum cannot see: a v4 file is split into its sections,
+   one candidate section is rewritten, and the file is reassembled with
+   a fresh checksum trailer. Only the loader's structural checks stand
+   between such a file and a table that counts twice or looks up by
+   probe order; both loads must answer [Corrupt_model] naming the
+   section — at load or at first use, never anything else. *)
+
+let sections full =
+  let nl = String.index full '\n' in
+  let rec go pos acc =
+    if pos >= String.length full then List.rev acc
+    else
+      let len = Int64.to_int (String.get_int64_le full (pos + 1)) in
+      go (pos + 9 + len)
+        ((Char.code full.[pos], String.sub full (pos + 9) len) :: acc)
+  in
+  (String.sub full 0 (nl + 1), go (nl + 1) [])
+
+let reassemble magic secs =
+  let body = List.filter (fun (t, _) -> t <> 255) secs in
+  let b = Buffer.create 4096 in
+  let section buf tag payload =
+    Buffer.add_char buf (Char.chr tag);
+    Buffer.add_int64_le buf (Int64.of_int (String.length payload));
+    Buffer.add_string buf payload
+  in
+  Buffer.add_string b magic;
+  List.iter (fun (t, p) -> section b t p) body;
+  let trailer = Buffer.create 64 in
+  Buffer.add_int64_le trailer (Int64.of_int (List.length body));
+  List.iter
+    (fun (t, p) ->
+      Buffer.add_char trailer (Char.chr t);
+      Buffer.add_int64_le trailer (Int64.of_int (Lexkit.Binio.checksum p)))
+    body;
+  section b 255 (Buffer.contents trailer);
+  Buffer.contents b
+
+let names_section section (d : Lexkit.Diag.t) =
+  d.Lexkit.Diag.kind = Lexkit.Diag.Corrupt_model
+  && String.split_on_char ':' d.Lexkit.Diag.msg
+     |> List.concat_map (String.split_on_char ' ')
+     |> List.exists (String.equal section)
+
+let rejected section = function
+  | Error d -> names_section section d
+  | Ok model -> (
+      match Crf.Train.candidates model with
+      | _ -> false
+      | exception Lexkit.Diag.Error d -> names_section section d)
+
+let test_crf_hostile_candidate_sections () =
+  let model = train () in
+  with_temp_file ".crf" (fun path ->
+      Crf.Serialize.save model path;
+      let full = read_file path in
+      let magic, secs = sections full in
+      check_bool "split and reassembled file is the saved file" true
+        (reassemble magic secs = full);
+      let entry p i = String.sub p (8 + (24 * i)) 24 in
+      let set_entries p es =
+        String.sub p 0 8 ^ String.concat "" es
+        ^ String.sub p (8 + (24 * List.length es))
+            (String.length p - 8 - (24 * List.length es))
+      in
+      let pw = List.assoc 9 secs in
+      check_bool "cand-pw has two entries to damage" true
+        (String.length pw >= 8 + 48);
+      let big_count =
+        let b = Bytes.of_string pw in
+        Bytes.set_int64_le b 0 (Int64.shift_left 1L 40);
+        Bytes.to_string b
+      in
+      List.iter
+        (fun (what, payload) ->
+          let swap (t, p) = if t = 9 then (t, payload) else (t, p) in
+          write_file path (reassemble magic (List.map swap secs));
+          check_bool (what ^ ": mapped load rejects, naming cand-pw") true
+            (rejected "cand-pw"
+               (Result.map fst (Crf.Serialize.load_mapped path)));
+          check_bool (what ^ ": copy load rejects, naming cand-pw") true
+            (rejected "cand-pw" (Crf.Serialize.load path)))
+        [
+          ("swapped entries", set_entries pw [ entry pw 1; entry pw 0 ]);
+          ("duplicate entry", set_entries pw [ entry pw 0; entry pw 0 ]);
+          ("count beyond the payload", big_count);
+        ])
+
 (* ---------- word2vec ---------- *)
 
 let sgns_pairs ~n ~seed =
@@ -370,6 +460,8 @@ let suite =
           test_crf_mapped_bit_flips;
         Alcotest.test_case "hostile lengths contained" `Quick
           test_crf_mapped_hostile_lengths;
+        Alcotest.test_case "hostile candidate sections rejected" `Quick
+          test_crf_hostile_candidate_sections;
         Alcotest.test_case "short files contained" `Quick
           test_crf_mapped_short_files;
       ] );
