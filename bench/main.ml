@@ -1316,7 +1316,11 @@ end
      flat-matrix kernel with the sigmoid LUT.
 
    Full runs enforce a >=2x floor on both; --quick only checks
-   equivalence. Timings are min-of-2. Results go to BENCH_train.json. *)
+   equivalence. Also timed, without a floor: the default trainer (the
+   pseudolikelihood perceptron) scoring from weight rows
+   ([Incremental]) against per-candidate lookups ([Full_rescore]), which
+   must train byte-identical weights. Timings are min-of-2. Results go
+   to BENCH_train.json. *)
 let train_bench () =
   header "Training kernels - incremental ICM and flat-matrix SGNS vs pre-PR";
   let timed f =
@@ -1408,6 +1412,26 @@ let train_bench () =
   Printf.printf "%-24s %12s %12.3f %7.2fx  (dense tables, full-rescore ICM)\n%!"
     "  crf-train interim" "-" t_crf_full (t_crf_old /. t_crf_full);
 
+  (* The default trainer: row walks vs one lookup per candidate *)
+  let dcfg = crf_config 6 in
+  let m_rows, t_pl_rows =
+    timed (fun () -> Crf.Train.train ~config:dcfg graphs)
+  in
+  let m_lookup, t_pl_lookup =
+    timed (fun () ->
+        Crf.Train.train
+          ~config:{ dcfg with Crf.Train.engine = Crf.Fast.Full_rescore }
+          graphs)
+  in
+  let pl_ok =
+    sorted_dump m_rows.Crf.Train.fast = sorted_dump m_lookup.Crf.Train.fast
+  in
+  check "default trainer: row walks and lookups trained different weights"
+    pl_ok;
+  let pl_speedup = t_pl_lookup /. t_pl_rows in
+  Printf.printf "%-24s %12.3f %12.3f %7.2fx  %b  (lookups vs rows)\n%!"
+    "crf-train default" t_pl_lookup t_pl_rows pl_speedup pl_ok;
+
   (* SGNS kernel *)
   let w2v_pairs =
     List.concat_map
@@ -1459,6 +1483,13 @@ let train_bench () =
     \                \"weights_identical\": %b, \"predictions_identical\": \
      %b},\n"
     (List.length graphs) 6 t_crf_old t_crf_new crf_speedup weights_ok preds_ok;
+  Printf.fprintf oc
+    "  \"crf_train_default\": {\"trainer\": \"pseudolikelihood\", \
+     \"graphs\": %d, \"iterations\": %d,\n\
+    \                        \"lookup_seconds\": %.4f, \"rows_seconds\": \
+     %.4f, \"speedup\": %.2f,\n\
+    \                        \"weights_identical\": %b},\n"
+    (List.length graphs) 6 t_pl_lookup t_pl_rows pl_speedup pl_ok;
   Printf.fprintf oc
     "  \"sgns_train\": {\"pairs\": %d, \"dim\": %d, \"epochs\": %d,\n\
     \                 \"old_seconds\": %.4f, \"new_seconds\": %.4f, \

@@ -8,8 +8,9 @@
 # bench (10%-corrupt corpora must train with exact skip tallies), the
 # parallel-scaling bench (determinism
 # checks always, speedup floor only on >= 4-core hosts), the
-# training-kernels bench (old-vs-new CRF/SGNS kernels; quick mode
-# checks equivalence only, full runs also enforce the 2x floor), the
+# training-kernels bench (old-vs-new CRF/SGNS kernels, and the default
+# CRF trainer's row walks vs per-candidate lookups; quick mode checks
+# equivalence only, full runs also enforce the 2x floor), the
 # interned-pipeline bench (string
 # pipeline vs shared symbol table, v2 text vs v3 binary models: v3
 # round-trips byte-identically and both loads predict identically;

@@ -37,16 +37,15 @@ let name eg n = eg.names.(n)
 let pw_key la rel lb = (la lsl 42) lor (rel lsl 18) lor lb
 let un_key l rel = (l lsl 24) lor rel
 
-(* A frozen model's weights in rows ({!Itbl.rows}), for the ICM column
-   fill: pairwise weights by (rel, lb), whose entries vary la, and by
-   (la, rel), whose entries vary lb; unary weights by rel, whose
-   entries vary the label. The label fields are the ones [pw_key] and
-   [un_key] place at bits 42, 0 and 24. *)
-type rows = {
-  by_rel_lb : Itbl.rows;
-  by_la_rel : Itbl.rows;
-  un_by_rel : Itbl.rows;
-}
+(* The weight rows ({!Itbl.scatter}) the scoring loops walk: pairwise
+   weights by (rel, lb), whose entries vary la (grouping [by_rel_lb]),
+   and by (la, rel), whose entries vary lb ([by_la_rel]); unary weights
+   by rel, whose entries vary the label. The label fields are the ones
+   [pw_key] and [un_key] place at bits 42, 0 and 24. *)
+let pw_rows = [ (42, 18); (0, 18) ]
+let by_rel_lb = 0
+let by_la_rel = 1
+let un_rows = [ (24, 18) ]
 
 type model = {
   syms : Symbols.t;
@@ -58,22 +57,23 @@ type model = {
   un_u : Itbl.t;
   bias_u : Itbl.t;
   mutable steps : int;
-  rows : rows option Atomic.t;
-      (* set once, by [prepare]: [Some] marks a frozen model whose
-         first use is done *)
+  prepared : bool Atomic.t;  (* set once, by [prepare]: first use done *)
 }
 
+(* The weight tables keep their rows current from here on, through
+   every update; the accumulators are never scored, so they have
+   none. *)
 let create ?symbols () =
   {
     syms = (match symbols with Some s -> s | None -> Symbols.create ());
-    pw = Itbl.create 65536;
-    un = Itbl.create 16384;
+    pw = Itbl.create ~rows:pw_rows 65536;
+    un = Itbl.create ~rows:un_rows 16384;
     bias = Itbl.create 512;
     pw_u = Itbl.create 65536;
     un_u = Itbl.create 16384;
     bias_u = Itbl.create 512;
     steps = 0;
-    rows = Atomic.make None;
+    prepared = Atomic.make false;
   }
 
 (* A per-domain write target for one parallel training slice: shares
@@ -89,12 +89,28 @@ let delta_of m =
     un_u = Itbl.create 256;
     bias_u = Itbl.create 64;
     steps = 0;
-    rows = Atomic.make None;
+    prepared = Atomic.make false;
   }
 
 let symbols m = m.syms
 let get = Itbl.get
 let add = Itbl.add
+
+(* A heap model's weight tables (trained or copy-loaded) have rows from
+   [create] on. A mapped model's are built once, at its first use
+   ([prepare]) or, for a caller that skips it, its first MAP run, under
+   this lock; its biases get a dense copy by label there too, so a
+   candidate's bias is one load instead of a binary search. *)
+let first_use = Mutex.create ()
+
+let build_rows m =
+  Itbl.build_rows m.pw pw_rows;
+  Itbl.build_rows m.un un_rows;
+  Itbl.build_dense m.bias (Symbols.num_labels m.syms)
+
+let ensure_rows m =
+  if not (Itbl.rows_ready m.pw && Itbl.rows_ready m.un) then
+    Mutex.protect first_use (fun () -> build_rows m)
 
 (* Fold one slice's deltas back into the model. Callers merge slices
    in pass order and per-key accumulation is independent across keys,
@@ -452,7 +468,9 @@ let node_score m eg n assignment l =
    its own), and is given back only when a run completes, since the
    label map must be all -1 at rest. An array too small for a graph,
    or for a model's label count, is replaced by a larger one; a spare
-   whose cells outgrew [max_cells] is not kept. *)
+   whose cells outgrew [max_cells] is not kept. The pseudolikelihood
+   passes score a graph with an arena too (its label map, [next] and
+   [score]), from the same spare. *)
 module Arena = struct
   type t = {
     slate : Candidates.slate;
@@ -510,6 +528,9 @@ module Arena = struct
     if Array.length x >= n then x
     else Array.create_float (max n (2 * Array.length x))
 
+  (* A label map covering a model's [n] label ids. *)
+  let labels a n = if Array.length a.first < n then a.first <- Array.make n (-1)
+
   (* Load a slot's candidates into the label map, so a row entry finds
      every position of its label; [unload] restores the all -1 rest. *)
   let load a cs =
@@ -539,17 +560,16 @@ end
    order). Unary columns and the bias depend only on the candidate
    label and are filled once — weights are frozen during inference.
 
-   A prepared model's columns are filled from its rows: zero the
-   column, then write [mult *. w] for each entry of the factor's row at
-   every candidate position of its label, found through the arena's
-   dense label map (loaded with the slot's candidates before its first
-   stale column, cleared after). An absent key's [get] is [0.] and
-   every [mult] is a positive count, so [mult *. 0.] is the [+0.]
-   already there and the bits match a fill by [get]. A model under
-   training has no rows (its weights change after every graph) and
-   fills by [get]. Cells are not zeroed at create: unary columns are
-   filled there, pairwise columns at their first refresh ([seen] = -1
-   forces it).
+   Columns are filled from the model's rows: zero the column, then
+   write [mult *. w] for each entry of the factor's row at every
+   candidate position of its label, found through the arena's dense
+   label map (loaded with the slot's candidates before its first fill,
+   cleared after). An absent key's [get] is [0.] and every [mult] is a
+   positive count, so [mult *. 0.] is the [+0.] already there and the
+   bits match a fill by [get]. Biases are read by [get], one per
+   candidate. Cells are not zeroed at create: unary columns are filled
+   there, pairwise columns at their first refresh ([seen] = -1 forces
+   it).
 
    A slot's own label never enters its own candidate scores
    ([Graph.make] rejects self-loop pairwise factors), so flipping slot
@@ -561,19 +581,12 @@ module Scorer = struct
     eg : egraph;
     cand : int array array;
     assignment : int array;
-    rows : rows option;  (* the model's rows, when it is prepared *)
     a : Arena.t;
   }
 
   let make (a : Arena.t) (m : model) eg cand assignment =
+    ensure_rows m;
     let k = Array.length eg.unknown in
-    let rows =
-      match Atomic.get m.rows with
-      | Some r
-        when Itbl.rows_current r.by_la_rel && Itbl.rows_current r.un_by_rel ->
-          Some r
-      | _ -> None
-    in
     a.soff <- Arena.ints a.soff (k + 1);
     a.poff <- Arena.ints a.poff (k + 1);
     a.coff <- Arena.ints a.coff (k + 1);
@@ -602,10 +615,8 @@ module Scorer = struct
     a.next <- Arena.ints a.next !widest;
     if Array.length a.dirty < k then
       a.dirty <- Array.make (max k (2 * Array.length a.dirty)) true;
-    let labels = Symbols.num_labels m.syms + 1 in
-    if Option.is_some rows && Array.length a.first < labels then
-      a.first <- Array.make labels (-1);
-    let cells = a.cells in
+    Arena.labels a (Symbols.num_labels m.syms + 1);
+    let cells = a.cells and first = a.first and next = a.next in
     for i = 0 to k - 1 do
       let n = eg.unknown.(i) in
       let tp = eg.touch_pw.(n) and tu = eg.touch_un.(n) in
@@ -623,32 +634,20 @@ module Scorer = struct
         a.bias.(s0 + c) <- get m.bias cs.(c)
       done;
       a.dirty.(i) <- true;
-      match rows with
-      | Some r ->
-          if nu > 0 then begin
-            Arena.load a cs;
-            for j = 0 to nu - 1 do
-              let fi = tu.(j) in
-              let base = c0 + ((np + j) * nc) in
-              Array.fill cells base nc 0.;
-              Itbl.scatter r.un_by_rel
-                (un_key 0 eg.un_rel.(fi))
-                ~first:a.first ~next:a.next cells ~off:base
-                ~mult:eg.un_mult.(fi)
-            done;
-            Arena.unload a cs
-          end
-      | None ->
-          for j = 0 to nu - 1 do
-            let fi = tu.(j) in
-            let base = c0 + ((np + j) * nc) in
-            for c = 0 to nc - 1 do
-              cells.(base + c) <-
-                eg.un_mult.(fi) *. get m.un (un_key cs.(c) eg.un_rel.(fi))
-            done
-          done
+      if nu > 0 then begin
+        Arena.load a cs;
+        for j = 0 to nu - 1 do
+          let fi = tu.(j) in
+          let base = c0 + ((np + j) * nc) in
+          Array.fill cells base nc 0.;
+          Itbl.scatter m.un 0
+            (un_key 0 eg.un_rel.(fi))
+            ~first ~next cells ~off:base ~mult:eg.un_mult.(fi)
+        done;
+        Arena.unload a cs
+      end
     done;
-    { m; eg; cand; assignment; rows; a }
+    { m; eg; cand; assignment; a }
 
   let create m eg cand assignment = make (Arena.make ()) m eg cand assignment
 
@@ -669,30 +668,17 @@ module Scorer = struct
         let fi = Array.unsafe_get tp j in
         let rel = eg.pw_rel.(fi) and mult = eg.pw_mult.(fi) in
         let base = c0 + (j * nc) in
-        match t.rows with
-        | Some r ->
-            if not !loaded then begin
-              Arena.load a cs;
-              loaded := true
-            end;
-            Array.fill cells base nc 0.;
-            if eg.pw_a.(fi) = n then
-              Itbl.scatter r.by_rel_lb (pw_key 0 rel cur) ~first:a.first
-                ~next:a.next cells ~off:base ~mult
-            else
-              Itbl.scatter r.by_la_rel (pw_key cur rel 0) ~first:a.first
-                ~next:a.next cells ~off:base ~mult
-        | None ->
-            if eg.pw_a.(fi) = n then
-              for c = 0 to nc - 1 do
-                Array.unsafe_set cells (base + c)
-                  (mult *. get t.m.pw (pw_key (Array.unsafe_get cs c) rel cur))
-              done
-            else
-              for c = 0 to nc - 1 do
-                Array.unsafe_set cells (base + c)
-                  (mult *. get t.m.pw (pw_key cur rel (Array.unsafe_get cs c)))
-              done
+        if not !loaded then begin
+          Arena.load a cs;
+          loaded := true
+        end;
+        Array.fill cells base nc 0.;
+        if eg.pw_a.(fi) = n then
+          Itbl.scatter t.m.pw by_rel_lb (pw_key 0 rel cur) ~first:a.first
+            ~next:a.next cells ~off:base ~mult
+        else
+          Itbl.scatter t.m.pw by_la_rel (pw_key cur rel 0) ~first:a.first
+            ~next:a.next cells ~off:base ~mult
       end
     done;
     if !loaded then Arena.unload a cs;
@@ -943,34 +929,81 @@ let update wr eg ~gold ~pred =
       end)
     eg.unknown
 
-(* Pseudolikelihood-style perceptron: each unknown node is scored with
-   every *other* node clamped to gold; a wrong local argmax updates only
-   the factors touching that node. Pairwise weights are thus estimated
-   against correct neighborhoods — far more stable than learning from
-   the joint MAP's own mistakes — while test-time inference stays joint
-   (ICM). Cf. the pseudolikelihood training classically used for CRFs. *)
+(* A slot's candidate scores for the pseudolikelihood passes, every
+   other node at its gold label, from the model's rows: [score.(c)] is
+   [cs.(c)]'s (in the arena, valid until its next use). Each sum runs in
+   [node_score]'s order — the bias (by [get]), the pairwise columns in
+   touch order, then the unary ones — but adds only the weights that
+   are present. Skipping an absent weight's [+. 0.] can change only the
+   sign of a zero sum, which neither a [>] comparison nor
+   [exp (s -. mx)] can see, so training makes the same updates as with
+   [node_score]. *)
+let slot_scores (a : Arena.t) m eg n cs =
+  let gold = eg.gold and nc = Array.length cs in
+  a.next <- Arena.ints a.next nc;
+  a.score <- Arena.floats a.score nc;
+  Arena.labels a (Symbols.num_labels m.syms + 1);
+  let first = a.first and next = a.next and score = a.score in
+  for c = 0 to nc - 1 do
+    score.(c) <- get m.bias cs.(c)
+  done;
+  Arena.load a cs;
+  let tp = eg.touch_pw.(n) in
+  for j = 0 to Array.length tp - 1 do
+    let fi = tp.(j) in
+    let rel = eg.pw_rel.(fi) and mult = eg.pw_mult.(fi) in
+    if eg.pw_a.(fi) = n then
+      Itbl.scatter_add m.pw by_rel_lb
+        (pw_key 0 rel gold.(eg.pw_b.(fi)))
+        ~first ~next score ~off:0 ~mult
+    else
+      Itbl.scatter_add m.pw by_la_rel
+        (pw_key gold.(eg.pw_a.(fi)) rel 0)
+        ~first ~next score ~off:0 ~mult
+  done;
+  let tu = eg.touch_un.(n) in
+  for j = 0 to Array.length tu - 1 do
+    let fi = tu.(j) in
+    Itbl.scatter_add m.un 0
+      (un_key 0 eg.un_rel.(fi))
+      ~first ~next score ~off:0 ~mult:eg.un_mult.(fi)
+  done;
+  Arena.unload a cs;
+  score
+
+(* [slot_scores], or under [Full_rescore] the reference: one
+   [node_score] per candidate. *)
+let pl_scores engine a m eg n cs =
+  match engine with
+  | Incremental -> slot_scores a m eg n cs
+  | Full_rescore -> Array.map (node_score m eg n eg.gold) cs
+
 (* Mistake-driven pseudolikelihood perceptron: each unknown node is
    scored with every other node clamped to gold; a wrong local argmax
-   updates only the factors touching that node. Scores read [rd],
-   updates land in [wr]; sequential training passes the same model for
-   both (updates are visible immediately, the historical behavior),
-   parallel passes read the round-start model and write a delta. *)
-let pseudo_perceptron_pass ~rd ~wr eg ~cand =
+   updates only the factors touching that node. Pairwise weights are
+   thus estimated against correct neighborhoods — far more stable than
+   learning from the joint MAP's own mistakes — while test-time
+   inference stays joint (ICM). Cf. the pseudolikelihood training
+   classically used for CRFs. Scores read [rd], updates land in [wr];
+   sequential training passes the same model for both (updates are
+   visible immediately, the historical behavior), parallel passes read
+   the round-start model and write a delta. *)
+let pseudo_perceptron_pass ~engine ~rd ~wr eg ~cand =
   let gold = eg.gold in
+  let arena = Arena.take () in
   Array.iteri
     (fun i n ->
       let cs = cand.(i) in
       if Array.length cs > 0 then begin
         wr.steps <- wr.steps + 1;
+        let score = pl_scores engine arena rd eg n cs in
         let best = ref gold.(n) and best_score = ref neg_infinity in
-        Array.iter
-          (fun l ->
-            let sc = node_score rd eg n gold l in
-            if sc > !best_score then begin
-              best_score := sc;
-              best := l
-            end)
-          cs;
+        for c = 0 to Array.length cs - 1 do
+          if score.(c) > !best_score then begin
+            best_score := score.(c);
+            best := cs.(c)
+          end
+        done;
         let p = !best in
         if p <> gold.(n) then begin
           let t = float_of_int wr.steps in
@@ -1004,32 +1037,34 @@ let pseudo_perceptron_pass ~rd ~wr eg ~cand =
           upd wr.bias wr.bias_u p (-1.)
         end
       end)
-    eg.unknown
+    eg.unknown;
+  Arena.give arena
 
-let pseudo_gradient_pass ~rd ~wr eg ~cand ~lr =
+let pseudo_gradient_pass ~engine ~rd ~wr eg ~cand ~lr =
   let gold = eg.gold in
+  let arena = Arena.take () in
   Array.iteri
     (fun i n ->
       let cs = cand.(i) in
-      let k = Array.length cs in
-      if k > 0 then begin
+      if Array.length cs > 0 then begin
         wr.steps <- wr.steps + 1;
         (* Softmax over the candidate set with every other node clamped
            to gold: a true pseudolikelihood gradient step. Unlike a
            perceptron update, the gradient is frequency-consistent — on
            inherently ambiguous examples (name synonyms) the weights
            converge to log-odds rather than oscillating between the
-           synonyms. *)
-        let scores = Array.map (fun l -> node_score rd eg n gold l) cs in
-        let gold_in = Array.exists (fun l -> l = gold.(n)) cs in
-        let scores, cs =
-          if gold_in then (scores, cs)
-          else
-            ( Array.append scores [| node_score rd eg n gold gold.(n) |],
-              Array.append cs [| gold.(n) |] )
+           synonyms. The gold label joins the set when absent. *)
+        let cs =
+          if Array.exists (fun l -> l = gold.(n)) cs then cs
+          else Array.append cs [| gold.(n) |]
         in
-        let mx = Array.fold_left Float.max neg_infinity scores in
-        let exps = Array.map (fun s -> exp (s -. mx)) scores in
+        let k = Array.length cs in
+        let scores = pl_scores engine arena rd eg n cs in
+        let mx = ref neg_infinity in
+        for j = 0 to k - 1 do
+          mx := Float.max !mx scores.(j)
+        done;
+        let exps = Array.init k (fun j -> exp (scores.(j) -. !mx)) in
         let z = Array.fold_left ( +. ) 0. exps in
         let apply_l l coeff =
           (* coeff = lr * (1[l = gold] - P(l)) *)
@@ -1058,7 +1093,8 @@ let pseudo_gradient_pass ~rd ~wr eg ~cand ~lr =
             apply_l l (lr *. (target -. p)))
           cs
       end)
-    eg.unknown
+    eg.unknown;
+  Arena.give arena
 
 let finalize_average m =
   if m.steps > 0 then begin
@@ -1177,8 +1213,8 @@ let mode_of cfg it =
    writes updates (and step advances) into [wr]. *)
 let run_graph_pass cfg cands ~rd ~wr ~mode ~it ~cand eg =
   match mode with
-  | `Pl -> pseudo_perceptron_pass ~rd ~wr eg ~cand
-  | `Grad -> pseudo_gradient_pass ~rd ~wr eg ~cand ~lr:0.2
+  | `Pl -> pseudo_perceptron_pass ~engine:cfg.engine ~rd ~wr eg ~cand
+  | `Grad -> pseudo_gradient_pass ~engine:cfg.engine ~rd ~wr eg ~cand ~lr:0.2
   | `Structured ->
       (* Time advances once per example — the textbook averaged
          perceptron; counting only mistakes would under-weight
@@ -1375,26 +1411,21 @@ let storage m =
    candidate table (a loaded model checksums its sections and reads
    them into the table's flat runs there) and making the query that
    freezes a trained one, checksumming the mapped weight tables and
-   grouping the weights into rows. Forcing a [Lazy.t] from
-   two threads at once raises [CamlinternalLazy.Undefined]; after this
-   the model and its candidates are only read, so any number of
-   threads and domains can share them. The rows are published last, so
-   a reader that sees them sees verified tables. *)
-let first_use = Mutex.create ()
-
+   building their rows and dense biases (a heap model's tables have
+   their rows from [create] on). Forcing a
+   [Lazy.t] from two threads at once raises
+   [CamlinternalLazy.Undefined]; after this the model and its
+   candidates are only read, so any number of threads and domains can
+   share them. The rows are built after the checksums, so a reader
+   that sees them sees verified tables. *)
 let prepare m cands =
-  if Option.is_none (Atomic.get m.rows) then
+  if not (Atomic.get m.prepared) then
     Mutex.protect first_use (fun () ->
-        if Option.is_none (Atomic.get m.rows) then begin
+        if not (Atomic.get m.prepared) then begin
           ignore (Candidates.global_top_ids (Lazy.force cands) 1);
           verify_tables m;
-          Atomic.set m.rows
-            (Some
-               {
-                 by_rel_lb = Itbl.rows m.pw ~label_shift:42 ~label_bits:18;
-                 by_la_rel = Itbl.rows m.pw ~label_shift:0 ~label_bits:18;
-                 un_by_rel = Itbl.rows m.un ~label_shift:24 ~label_bits:18;
-               })
+          build_rows m;
+          Atomic.set m.prepared true
         end);
   Lazy.force cands
 
@@ -1635,5 +1666,5 @@ let restore_mapped ~labels ~rels ~pw ~un ~bias =
     un_u = Itbl.create 0;
     bias_u = Itbl.create 0;
     steps = 0;
-    rows = Atomic.make None;
+    prepared = Atomic.make false;
   }

@@ -83,11 +83,13 @@ type engine =
   | Incremental
       (** Cached per-candidate factor contributions + dirty-worklist
           sweeps: only slots whose neighborhood changed are rescored.
-          Exact — byte-identical to [Full_rescore] (golden-tested). The
-          default. *)
+          The pseudolikelihood trainers score a slot with one weight-row
+          walk per factor column. Exact — byte-identical to
+          [Full_rescore] (golden-tested). The default. *)
   | Full_rescore
       (** The reference engine: every candidate of every node rescored
-          from scratch each sweep. *)
+          from scratch each sweep, and every candidate of a
+          pseudolikelihood slot scored by {!node_score}. *)
 
 type config = {
   max_candidates : int;
@@ -101,7 +103,9 @@ type config = {
   init_scale : float;
   init_min_count : int;
   trainer : trainer;
-  engine : engine;  (** ICM implementation used by MAP inference. *)
+  engine : engine;
+      (** Scoring used by MAP inference and by the pseudolikelihood
+          trainers. *)
 }
 
 val default_config : config
@@ -146,11 +150,14 @@ val map_assignment :
     mapping {!node_score} over that slot's candidates against the
     current assignment — [set_label] keeps that invariant by marking
     exactly the slots sharing a factor with the flipped one stale.
-    On a model {!prepare} has frozen, factor columns are filled from
-    the model's weight rows (one row per column, its entries placed
-    through a dense label → candidate map); otherwise, as under
-    training, one weight lookup per candidate. Both give the same
-    bits. The candidates of a slot need not be distinct. *)
+    Factor columns are filled from the model's weight rows (one row
+    walk per column, its entries placed through a dense label →
+    candidate map): a heap model's tables (trained or copy-loaded) keep
+    them current from their creation on, and a mapped model builds them
+    at its first use ({!prepare}, or the first scorer made on it).
+    Biases are read one per candidate, by a hash probe on a heap model
+    and from a dense copy by label on a mapped one. The candidates of a
+    slot need not be distinct. *)
 module Scorer : sig
   type t
 
@@ -250,13 +257,13 @@ val prepare : model -> Candidates.t Lazy.t -> Candidates.t
     candidate table paired with [model]; a loaded model checksums its
     candidate sections and reads them into the table's flat runs here,
     a trained one freezes its counts), rank its global labels, verify
-    the mapped weight tables and group the pairwise and unary weights
-    into rows ({!Itbl.rows}) for the ICM column fill. Later calls cost
-    one atomic read. After it the model is frozen: inference only reads
-    it, so threads and domains may share it. A prepared model must not
-    be trained further; a table that grows after it falls back to
-    per-candidate lookups. Heap (copy-loaded or freshly trained) and
-    mapped models both get rows. *)
+    the mapped weight tables and build their rows ({!Itbl.build_rows})
+    for the ICM column fill and a dense copy of their biases by label
+    ({!Itbl.build_dense}). A heap model (trained or copy-loaded) needs
+    neither: its tables have kept their rows current since they were
+    created. Later calls cost one atomic read. After it the model is
+    frozen: inference only reads it, so threads and domains may share
+    it. *)
 
 val top_k :
   config ->

@@ -15,42 +15,16 @@
    A table is either heap-backed (training: mutable, growable) or
    map-backed (inference over an mmap'd model file: the keys are the
    file's sorted key run, copied to the heap by the loader, and the
-   values stay in the map as a [Bigarray.Array1] view — never copied).
-   A mapped [get] is a binary search over the key run; inference reads
-   a frozen model through {!rows} instead. Mapped values are
-   checksummed lazily: the first read-path entry point calls
-   [ensure_verified], which runs the verify closure the loader
+   values stay in the map as a [Bigarray.Array1] view — never copied,
+   but for a table keyed by small ints given a dense copy, indexed by
+   key, by [build_dense]). A mapped [get] is a binary search over the
+   key run, or one load from the dense copy; the scoring loops read
+   the pairwise and unary tables through their rows instead. Mapped
+   values are checksummed lazily: the first read-path entry point
+   calls [ensure_verified], which runs the verify closure the loader
    installed. *)
 
-type heap = {
-  mutable keys : int array;
-  mutable vals : float array;
-  mutable mask : int;
-  mutable count : int;
-}
-
-type mapped = {
-  m_keys : int array;  (* the file's key run: strictly increasing *)
-  m_vals : (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t;
-  m_verify : unit -> unit;
-  mutable m_verified : bool;
-      (* The benign race on this flag (two domains verifying at once)
-         only repeats an idempotent read-only checksum. *)
-}
-
-type t = H of heap | M of mapped
-
 let rec ceil_pow2 n c = if c >= n then c else ceil_pow2 n (c * 2)
-
-let create hint =
-  let cap = ceil_pow2 (max 16 hint) 16 in
-  H
-    {
-      keys = Array.make cap (-1);
-      vals = Array.make cap 0.;
-      mask = cap - 1;
-      count = 0;
-    }
 
 (* Multiplicative hash; [lsr] keeps well-mixed bits and guarantees a
    non-negative index. The product's bits from 16 up depend only on
@@ -60,6 +34,240 @@ let create hint =
    at the same slot. *)
 let[@inline] start mask k =
   ((k lxor (k lsr 31)) * 0x2545F4914F6CDD1D) lsr 16 land mask
+
+(* ---------- index ----------
+
+   An open-addressed map from non-negative int keys to ints, two ints
+   per slot with [start] as the hash: slot [s] holds its key at [2s]
+   (-1 = empty) and its value at [2s + 1]. The weight rows index their
+   row keys with one, and {!Candidates} its flat count runs. *)
+
+type index = int array
+
+(* [slots] empty slots, a power of two. *)
+let index_make slots =
+  let x = Array.make (2 * slots) 0 in
+  for s = 0 to slots - 1 do
+    x.(2 * s) <- -1
+  done;
+  x
+
+let[@inline] index_mask x = (Array.length x / 2) - 1
+
+(* The slot holding [k], or the empty one ending its run. *)
+let rec index_slot x mask k i =
+  let y = Array.unsafe_get x (2 * i) in
+  if y = k || y = -1 then i else index_slot x mask k ((i + 1) land mask)
+
+(* Twice the slots, every binding kept. *)
+let index_grow old =
+  let x = index_make (Array.length old) in
+  let mask = index_mask x in
+  for s = 0 to index_mask old do
+    let k = old.(2 * s) in
+    if k >= 0 then begin
+      let j = index_slot x mask k (start mask k) in
+      x.(2 * j) <- k;
+      x.((2 * j) + 1) <- old.((2 * s) + 1)
+    end
+  done;
+  x
+
+let index_runs a ~stride =
+  let n = Array.length a / stride in
+  let distinct = ref 0 in
+  for e = 0 to n - 1 do
+    if e = 0 || a.(stride * e) <> a.(stride * (e - 1)) then incr distinct
+  done;
+  let x = index_make (ceil_pow2 (2 * !distinct) 16) in
+  let mask = index_mask x in
+  for e = n - 1 downto 0 do
+    let k = a.(stride * e) in
+    let s = index_slot x mask k (start mask k) in
+    x.(2 * s) <- k;
+    x.((2 * s) + 1) <- e
+  done;
+  x
+
+let index_find x k =
+  let mask = index_mask x in
+  let s = index_slot x mask k (start mask k) in
+  if Array.unsafe_get x (2 * s) = k then Array.unsafe_get x ((2 * s) + 1)
+  else -1
+
+(* ---------- rows ----------
+
+   A table's entries grouped by every key field except one, the label
+   field: a row holds the entries whose keys agree outside it. Each
+   entry is one int, its table index (a heap table's slot, a position
+   in a mapped table's key run) above its label, so walking a row reads
+   no keys — only the values of the entries it keeps, from the table's
+   own value array, where updates in place are seen at once.
+
+   The row index maps a row key (a key with its label field zeroed) to
+   the row's place and length, packed as [(place lsl len_bits) lor
+   length]. A heap table's rows are growable, kept current while keys
+   arrive: each row is an array of its own that doubles when full, and
+   its place is its number in [blocks]; a rehash moves every entry, so
+   it rewrites each one's table index in place. A mapped table's rows
+   are compact, built once from its complete key run: they lie one
+   after another in [ents] at exactly their length, and a row's place
+   is its first entry there. *)
+
+type rows = {
+  lshift : int;
+  lbits : int;
+  clear : int;  (* every key bit outside the label field *)
+  mutable index : index;
+  mutable nrows : int;
+  mutable ents : int array;  (* compact: (table index lsl lbits) lor label *)
+  mutable blocks : int array array;  (* growable: per row number, likewise *)
+}
+
+(* A row's length needs one bit more than a label field. *)
+let len_bits = 20
+let len_mask = (1 lsl len_bits) - 1
+
+let rows_make (label_shift, label_bits) =
+  {
+    lshift = label_shift;
+    lbits = label_bits;
+    clear = lnot (((1 lsl label_bits) - 1) lsl label_shift);
+    index = index_make 16;
+    nrows = 0;
+    ents = [||];
+    blocks = [||];
+  }
+
+let[@inline] entry r i k =
+  (i lsl r.lbits) lor ((k lsr r.lshift) land ((1 lsl r.lbits) - 1))
+
+(* Compact rows over a mapped table's key run: rows in index order,
+   each one's entries in key order. *)
+let fill r keys =
+  (* Pass 1: each row's length, in an index grown with the number of
+     rows (load factor at most 1/2). *)
+  let x = ref (index_make 16) and nrows = ref 0 in
+  Array.iter
+    (fun k ->
+      let rk = k land r.clear and x' = !x in
+      let mask = index_mask x' in
+      let s = index_slot x' mask rk (start mask rk) in
+      if x'.(2 * s) < 0 then begin
+        x'.(2 * s) <- rk;
+        incr nrows
+      end;
+      x'.((2 * s) + 1) <- x'.((2 * s) + 1) + 1;
+      if 2 * !nrows > mask then x := index_grow x')
+    keys;
+  let x = !x in
+  let mask = index_mask x in
+  (* Pass 2: each row's first entry, in slot order, at length 0. *)
+  let used = ref 0 in
+  for s = 0 to mask do
+    if x.(2 * s) >= 0 then begin
+      let n = x.((2 * s) + 1) in
+      x.((2 * s) + 1) <- !used lsl len_bits;
+      used := !used + n
+    end
+  done;
+  (* Pass 3: the entries, each at the end of its row. *)
+  let ents = Array.make !used 0 in
+  Array.iteri
+    (fun i k ->
+      let rk = k land r.clear in
+      let s = index_slot x mask rk (start mask rk) in
+      let v = x.((2 * s) + 1) in
+      ents.((v lsr len_bits) + (v land len_mask)) <- entry r i k;
+      x.((2 * s) + 1) <- v + 1)
+    keys;
+  r.index <- x;
+  r.nrows <- !nrows;
+  r.ents <- ents
+
+(* Add the key [k], now at heap slot [i], to its row. *)
+let append r i k =
+  let x = r.index in
+  let mask = index_mask x in
+  let rk = k land r.clear in
+  let s = index_slot x mask rk (start mask rk) in
+  if x.(2 * s) < 0 then begin
+    let id = r.nrows in
+    if id = Array.length r.blocks then begin
+      let blocks = Array.make (max 16 (2 * id)) [||] in
+      Array.blit r.blocks 0 blocks 0 id;
+      r.blocks <- blocks
+    end;
+    x.(2 * s) <- rk;
+    x.((2 * s) + 1) <- id lsl len_bits;
+    r.nrows <- id + 1
+  end;
+  let v = x.((2 * s) + 1) in
+  let id = v lsr len_bits and len = v land len_mask in
+  let b = r.blocks.(id) in
+  let b =
+    if len < Array.length b then b
+    else begin
+      let b' = Array.make (max 1 (2 * len)) 0 in
+      Array.blit b 0 b' 0 len;
+      r.blocks.(id) <- b';
+      b'
+    end
+  in
+  b.(len) <- entry r i k;
+  x.((2 * s) + 1) <- v + 1;
+  if 2 * r.nrows > mask then r.index <- index_grow x
+
+(* After a rehash: each entry's table index becomes [slot k], where
+   [k] is its key — the row key with the entry's label put back. *)
+let remap r slot =
+  let x = r.index and lbits = r.lbits in
+  let lmask = (1 lsl lbits) - 1 in
+  for s = 0 to index_mask x do
+    let rk = x.(2 * s) in
+    if rk >= 0 then begin
+      let v = x.((2 * s) + 1) in
+      let b = r.blocks.(v lsr len_bits) in
+      for e = 0 to (v land len_mask) - 1 do
+        let l = b.(e) land lmask in
+        b.(e) <- (slot (rk lor (l lsl r.lshift)) lsl lbits) lor l
+      done
+    end
+  done
+
+(* ---------- tables ---------- *)
+
+type heap = {
+  mutable keys : int array;
+  mutable vals : float array;
+  mutable mask : int;
+  mutable count : int;
+  rows : rows array;  (* kept current by every insert and rehash *)
+}
+
+type mapped = {
+  m_keys : int array;  (* the file's key run: strictly increasing *)
+  m_vals : (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t;
+  m_verify : unit -> unit;
+  mutable m_verified : bool;
+      (* The benign race on this flag (two domains verifying at once)
+         only repeats an idempotent read-only checksum. *)
+  m_rows : rows array Atomic.t;  (* empty until [build_rows] *)
+  m_dense : float array Atomic.t;  (* empty until [build_dense] *)
+}
+
+type t = H of heap | M of mapped
+
+let create ?(rows = []) hint =
+  let cap = ceil_pow2 (max 16 hint) 16 in
+  H
+    {
+      keys = Array.make cap (-1);
+      vals = Array.make cap 0.;
+      mask = cap - 1;
+      count = 0;
+      rows = Array.of_list (List.map rows_make rows);
+    }
 
 let length = function H h -> h.count | M m -> Array.length m.m_keys
 
@@ -84,8 +292,12 @@ let[@inline] get t k =
       let i = probe h.keys h.mask k (start h.mask k) in
       if Array.unsafe_get h.keys i = k then Array.unsafe_get h.vals i else 0.
   | M m ->
-      let j = find_sorted m.m_keys k in
-      if j < 0 then 0. else Bigarray.Array1.unsafe_get m.m_vals j
+      let d = Atomic.get m.m_dense in
+      if Array.length d > 0 then
+        if k >= 0 && k < Array.length d then Array.unsafe_get d k else 0.
+      else
+        let j = find_sorted m.m_keys k in
+        if j < 0 then 0. else Bigarray.Array1.unsafe_get m.m_vals j
 
 let grow h =
   let old_keys = h.keys and old_vals = h.vals in
@@ -100,12 +312,17 @@ let grow h =
         Array.unsafe_set h.keys j k;
         Array.unsafe_set h.vals j (Array.unsafe_get old_vals i)
       end)
-    old_keys
+    old_keys;
+  let slot k = probe h.keys h.mask k (start h.mask k) in
+  Array.iter (fun r -> remap r slot) h.rows
 
 let[@inline] insert h i k v =
   Array.unsafe_set h.keys i k;
   Array.unsafe_set h.vals i v;
   h.count <- h.count + 1;
+  for g = 0 to Array.length h.rows - 1 do
+    append (Array.unsafe_get h.rows g) i k
+  done;
   (* Load factor 1/2: probes stay short and the growth check is one
      compare per insert. *)
   if 2 * h.count >= Array.length h.keys then grow h
@@ -157,9 +374,56 @@ let of_sorted_mapped ~keys ~vals ~verify =
           j k !prev;
       prev := k)
     keys;
-  M { m_keys = keys; m_vals = vals; m_verify = verify; m_verified = false }
+  M
+    {
+      m_keys = keys;
+      m_vals = vals;
+      m_verify = verify;
+      m_verified = false;
+      m_rows = Atomic.make [||];
+      m_dense = Atomic.make [||];
+    }
 
 let storage = function H _ -> `Heap | M _ -> `Mapped
+
+let rows_ready = function
+  | H h -> Array.length h.rows > 0
+  | M m -> Array.length (Atomic.get m.m_rows) > 0
+
+let build_rows t groups =
+  match t with
+  | H h ->
+      if Array.length h.rows = 0 then
+        invalid_arg "Itbl.build_rows: a heap table's rows are made by create"
+  | M m ->
+      if Array.length (Atomic.get m.m_rows) = 0 then
+        Atomic.set m.m_rows
+          (Array.of_list
+             (List.map
+                (fun g ->
+                  let r = rows_make g in
+                  fill r m.m_keys;
+                  r)
+                groups))
+
+let build_dense t n =
+  match t with
+  | H _ -> ()
+  | M m ->
+      let keys = m.m_keys in
+      let len = Array.length keys in
+      if
+        Array.length (Atomic.get m.m_dense) = 0
+        && n > 0
+        && (len = 0 || keys.(len - 1) < n)
+      then begin
+        ensure_verified t;
+        let d = Array.make n 0. in
+        Array.iteri
+          (fun j k -> d.(k) <- Bigarray.Array1.unsafe_get m.m_vals j)
+          keys;
+        Atomic.set m.m_dense d
+      end
 
 let iter f t =
   ensure_verified t;
@@ -180,158 +444,49 @@ let fold f t acc =
   iter (fun k v -> acc := f k v !acc) t;
   !acc
 
-(* ---------- index ----------
+(* ---------- row walks ---------- *)
 
-   An open-addressed map from non-negative int keys to ints, two ints
-   per slot with [start] as the hash: slot [s] holds its key at [2s]
-   (-1 = empty) and its value at [2s + 1]. One slot past the last is
-   never probed; [rows] keeps its row ends there. The weight rows index
-   their row keys with one, and {!Candidates} its flat count runs. *)
+let rows_of t g =
+  let rs = match t with H h -> h.rows | M m -> Atomic.get m.m_rows in
+  if g < 0 || g >= Array.length rs then invalid_arg "Itbl: no such rows";
+  Array.unsafe_get rs g
 
-type index = int array
-
-(* [slots] empty slots (a power of two) plus the spare one. *)
-let index_make slots =
-  let x = Array.make (2 * (slots + 1)) 0 in
-  for s = 0 to slots do
-    x.(2 * s) <- -1
-  done;
-  x
-
-let[@inline] index_mask x = (Array.length x / 2) - 2
-
-(* The slot holding [k], or the empty one ending its run. *)
-let rec index_slot x mask k i =
-  let y = Array.unsafe_get x (2 * i) in
-  if y = k || y = -1 then i else index_slot x mask k ((i + 1) land mask)
-
-let index_runs a ~stride =
-  let n = Array.length a / stride in
-  let distinct = ref 0 in
-  for e = 0 to n - 1 do
-    if e = 0 || a.(stride * e) <> a.(stride * (e - 1)) then incr distinct
-  done;
-  let x = index_make (ceil_pow2 (2 * !distinct) 16) in
-  let mask = index_mask x in
-  for e = n - 1 downto 0 do
-    let k = a.(stride * e) in
-    let s = index_slot x mask k (start mask k) in
-    x.(2 * s) <- k;
-    x.((2 * s) + 1) <- e
-  done;
-  x
-
-let index_find x k =
+(* For each entry of the row of [k] whose label has positions in the
+   dense map, [mult *. w] at every position: written over the cell, or
+   added onto it. *)
+let walk ~acc t g k ~first ~next dst ~off ~mult =
+  let r = rows_of t g in
+  let x = r.index in
   let mask = index_mask x in
   let s = index_slot x mask k (start mask k) in
-  if Array.unsafe_get x (2 * s) = k then Array.unsafe_get x ((2 * s) + 1)
-  else -1
-
-(* ---------- rows ----------
-
-   The entries of a table grouped by every key field except one, the
-   label field: a row holds the entries whose keys agree outside it.
-   Each entry is one int, its table index (a heap table's slot, a
-   position in a mapped table's key run) above its label, so walking a
-   row reads no keys — only the values of the entries it keeps, from
-   the table's own value array.
-
-   The row index is an {!index} over row keys (a key with its label
-   field zeroed) whose value at slot [s] is the slot's first entry: the
-   row is [entries.(index.(2s + 1)) .. entries.(index.(2s + 3) - 1)],
-   one cache line for a hit, and an empty slot owns an empty range. *)
-
-type rows = {
-  tbl : t;
-  count : int;  (* the table's length at build time *)
-  lbits : int;
-  index : index;  (* 2 * (slots + 1) *)
-  imask : int;  (* slots - 1 *)
-  entries : int array;  (* (table index lsl lbits) lor label, row by row *)
-}
-
-let rows t ~label_shift ~label_bits =
-  let keys = match t with H h -> h.keys | M m -> m.m_keys in
-  let lmask = (1 lsl label_bits) - 1 in
-  let clear = lnot (lmask lsl label_shift) in
-  (* Pass 1: count each row's entries at [2s + 1], in an index grown
-     with the number of rows (load factor at most 1/2). *)
-  let index = ref (index_make 16) and nrows = ref 0 in
-  let regrow () =
-    let old = !index in
-    let cap = Array.length old - 2 in
-    let x = index_make cap in
-    for s = 0 to (cap / 2) - 1 do
-      let rk = old.(2 * s) in
-      if rk >= 0 then begin
-        let j = index_slot x (cap - 1) rk (start (cap - 1) rk) in
-        x.(2 * j) <- rk;
-        x.((2 * j) + 1) <- old.((2 * s) + 1)
-      end
-    done;
-    index := x
-  in
-  Array.iter
-    (fun k ->
-      if k >= 0 then begin
-        let rk = k land clear and x = !index in
-        let mask = index_mask x in
-        let s = index_slot x mask rk (start mask rk) in
-        if x.(2 * s) < 0 then begin
-          x.(2 * s) <- rk;
-          incr nrows
-        end;
-        x.((2 * s) + 1) <- x.((2 * s) + 1) + 1;
-        if 2 * !nrows >= mask + 1 then regrow ()
-      end)
-    keys;
-  let index = !index in
-  let imask = index_mask index in
-  (* Pass 2: running totals, so slot [s]'s count becomes its row's end;
-     the spare slot past the last ends every row. *)
-  for s = 1 to imask + 1 do
-    index.((2 * s) + 1) <- index.((2 * s) + 1) + index.((2 * s) - 1)
-  done;
-  (* Pass 3, in reverse: each entry steps its row's end back by one,
-     leaving the row's first entry there and every row in table
-     order. *)
-  let entries = Array.make index.((2 * imask) + 3) 0 in
-  for i = Array.length keys - 1 downto 0 do
-    let k = keys.(i) in
-    if k >= 0 then begin
-      let rk = k land clear in
-      let s = index_slot index imask rk (start imask rk) in
-      let e = index.((2 * s) + 1) - 1 in
-      index.((2 * s) + 1) <- e;
-      entries.(e) <- (i lsl label_bits) lor ((k lsr label_shift) land lmask)
-    end
-  done;
-  { tbl = t; count = length t; lbits = label_bits; index; imask; entries }
-
-let rows_current r = length r.tbl = r.count
-
-let scatter r k ~first ~next dst ~off ~mult =
-  let index = r.index in
-  let s = index_slot index r.imask k (start r.imask k) in
-  if Array.unsafe_get index (2 * s) = k then begin
-    let entries = r.entries and lbits = r.lbits in
+  if Array.unsafe_get x (2 * s) = k then begin
+    let v = Array.unsafe_get x ((2 * s) + 1) in
+    let ents = match t with H _ -> r.blocks.(v lsr len_bits) | M _ -> r.ents in
+    let e0 = match t with H _ -> 0 | M _ -> v lsr len_bits in
+    let lbits = r.lbits in
     let lmask = (1 lsl lbits) - 1 in
-    for e = Array.unsafe_get index ((2 * s) + 1)
-        to Array.unsafe_get index ((2 * s) + 3) - 1 do
-      let x = Array.unsafe_get entries e in
-      let p = ref first.(x land lmask) in
+    for e = e0 to e0 + (v land len_mask) - 1 do
+      let y = Array.unsafe_get ents e in
+      let p = ref first.(y land lmask) in
       if !p >= 0 then begin
-        let i = x lsr lbits in
+        let i = y lsr lbits in
         let w =
-          match r.tbl with
+          match t with
           | H h -> Array.unsafe_get h.vals i
           | M m -> Bigarray.Array1.unsafe_get m.m_vals i
         in
-        let v = mult *. w in
+        let c = mult *. w in
         while !p >= 0 do
-          dst.(off + !p) <- v;
+          let j = off + !p in
+          dst.(j) <- (if acc then dst.(j) +. c else c);
           p := next.(!p)
         done
       end
     done
   end
+
+let scatter t g k ~first ~next dst ~off ~mult =
+  walk ~acc:false t g k ~first ~next dst ~off ~mult
+
+let scatter_add t g k ~first ~next dst ~off ~mult =
+  walk ~acc:true t g k ~first ~next dst ~off ~mult

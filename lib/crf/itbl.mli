@@ -10,13 +10,20 @@
     and training uses) or map-backed (read-only values living in a
     [Bigarray.Array1] view over an mmap'd model file — what
     {!of_sorted_mapped} builds). Lookups behave identically in both;
-    {!add}/{!set} on a mapped table raise [Invalid_argument]. *)
+    {!add}/{!set} on a mapped table raise [Invalid_argument].
+
+    A table may also keep its entries grouped into {{!section-rows}rows},
+    which the scoring loops walk instead of looking keys up one by one:
+    a heap table from its creation on, kept current by every insert and
+    rehash; a mapped table once {!build_rows} has run. *)
 
 type t
 
-val create : int -> t
-(** [create hint] sizes the table for at least [hint] slots (rounded
-    up to a power of two, minimum 16). *)
+val create : ?rows:(int * int) list -> int -> t
+(** [create ?rows hint] sizes the table for at least [hint] slots
+    (rounded up to a power of two, minimum 16). Each [(label_shift,
+    label_bits)] of [rows] names a grouping the table keeps as rows,
+    numbered in list order (see {!section-rows}); none by default. *)
 
 val of_sorted_mapped :
   keys:int array ->
@@ -32,6 +39,15 @@ val of_sorted_mapped :
     first read-path entry point that calls {!ensure_verified}, and
     should raise [Lexkit.Diag.Error] on mismatch. *)
 
+val build_dense : t -> int -> unit
+(** [build_dense t n] gives a mapped table whose keys are all below [n]
+    a copy of its values in an [n]-cell array indexed by key, once,
+    after which {!get} reads one cell instead of searching the key run
+    (a label-keyed table: [n] floats of memory). It runs the pending
+    [verify] first. Heap tables, and mapped tables with a key of [n] or
+    more, are left as they are. Not safe to run concurrently with
+    itself: callers serialize it, like {!build_rows}. *)
+
 val ensure_verified : t -> unit
 (** Run the pending [verify] closure of a mapped table (idempotent;
     no-op on heap tables). Called by {!Fast} at inference entry points
@@ -41,7 +57,9 @@ val ensure_verified : t -> unit
 val storage : t -> [ `Heap | `Mapped ]
 
 val get : t -> int -> float
-(** [get t k] is the value bound to [k], or [0.] when unbound. *)
+(** [get t k] is the value bound to [k], or [0.] when unbound: a hash
+    probe on a heap table; on a mapped one, a binary search over the
+    key run, or one load after {!build_dense}. *)
 
 val add : t -> int -> float -> unit
 (** [add t k d] accumulates [d] onto the binding for [k], creating it
@@ -72,28 +90,42 @@ val index_runs : int array -> stride:int -> index
 val index_find : index -> int -> int
 (** The value bound to a key, or [-1]. *)
 
-(** {2 Rows}
+(** {2:rows Rows}
 
     A table's entries grouped by all key bits except one field, the
-    {e label}: one row per distinct rest-of-key, read in place from the
-    table's own arrays. ICM fills a factor's column for all of a slot's
-    candidate labels with one row lookup instead of one {!get} per
-    candidate. *)
+    {e label}: one row per distinct rest-of-key. Each entry is one int
+    (its place in the table and its label) and values are read from the
+    table's own arrays, so an update in place is seen at once. The
+    scoring loops fill a factor's column for all of a slot's candidate
+    labels with one row walk instead of one {!get} per candidate.
 
-type rows
+    A heap table gets its groupings at {!create} and keeps their rows
+    current: a new key joins its row at once, each row being an array
+    of its own that doubles when full, and a rehash rewrites every
+    entry's table index in place. Memory per grouping: an int per
+    entry, up to as much again of doubling slack, two ints per row (the
+    array's header and its place in the row list), and the row index,
+    two ints per slot at most half full. A mapped table's rows are
+    built once by {!build_rows} over its complete key run and are
+    compact: they lie one after another in a single array at exactly
+    their length, an int per entry and the row index. *)
 
-val rows : t -> label_shift:int -> label_bits:int -> rows
-(** [rows t ~label_shift ~label_bits] groups [t]'s entries by their
-    keys with the field [(k lsr label_shift) land (2^label_bits - 1)]
-    zeroed. The index is sized by the number of rows; the only
-    per-entry array is one int per entry. Reads [t]'s keys only. *)
+val build_rows : t -> (int * int) list -> unit
+(** [build_rows t groups] gives a mapped table that has no rows compact
+    ones over its key run, one grouping per [(label_shift,
+    label_bits)] of [groups], numbered in list order, and publishes
+    them; on a table that has rows it does nothing. A heap table's rows
+    are made by {!create}: on a heap table without rows it raises
+    [Invalid_argument]. Not safe to run concurrently with itself:
+    callers serialize it (Fast's first use does, under its lock). *)
 
-val rows_current : rows -> bool
-(** No binding was added to the table since {!rows} built the rows
-    (values changed in place stay visible to them). *)
+val rows_ready : t -> bool
+(** The table has rows to walk: it was created with some, or
+    {!build_rows} has run. *)
 
 val scatter :
-  rows ->
+  t ->
+  int ->
   int ->
   first:int array ->
   next:int array ->
@@ -101,12 +133,29 @@ val scatter :
   off:int ->
   mult:float ->
   unit
-(** [scatter r k ~first ~next dst ~off ~mult]: for each entry of the
-    row of [k] (a key whose label field is zero), with label [l] and
-    value [w], sets [dst.(off + p)] to [mult *. w] at every position
-    [p] of the chain [first.(l)], [next.(first.(l))], ... up to the
-    first negative link. [first] is a dense label → position map
-    covering every label of the table, [-1] for labels that take no
-    value; a label may own several positions. Positions whose label
-    the row lacks are left as they are — the caller zeroes them, which
-    equals [mult *. get] for a positive [mult]. *)
+(** [scatter t g k ~first ~next dst ~off ~mult]: for each entry of the
+    row of [k] (a key whose label field is zero) in [t]'s grouping [g],
+    with label [l] and value [w], sets [dst.(off + p)] to [mult *. w] at
+    every position [p] of the chain [first.(l)], [next.(first.(l))],
+    ... up to the first negative link. [first] is a dense label →
+    position map covering every label of the table, [-1] for labels
+    that take no value; a label may own several positions. Positions
+    whose label the row lacks are left as they are — a caller that
+    zeroes them first gets [mult *. get] for a positive [mult]. Raises
+    [Invalid_argument] when [t] has no grouping [g] (a mapped table
+    before {!build_rows}). *)
+
+val scatter_add :
+  t ->
+  int ->
+  int ->
+  first:int array ->
+  next:int array ->
+  float array ->
+  off:int ->
+  mult:float ->
+  unit
+(** Like {!scatter}, but adds [mult *. w] onto [dst.(off + p)]: the
+    weights a row lacks add nothing, where [+. mult *. get] would add
+    [+0.]. The two differ only when the cell holds [-0.], which the add
+    turns into [+0.]. *)

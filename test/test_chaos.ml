@@ -141,13 +141,17 @@ let pipelining_client ~sock ~ids ~line_of () =
   | c ->
       Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
       let sent = ref [] in
+      (* A send error means the daemon closed the connection (a fault
+         tore a reply or dropped it) — after writing replies to what it
+         had read. They are still in the socket: drain reads them up to
+         EOF, which marks the connection dead, and checks each one. *)
       (try
          List.iter
            (fun id ->
              Serve.Client.send_line c (line_of id);
              sent := id :: !sent)
            ids
-       with Unix.Unix_error _ -> o.conn_died <- true);
+       with Unix.Unix_error _ -> ());
       let expected = List.length !sent in
       let seen = Hashtbl.create 16 in
       let rec drain () =

@@ -8,16 +8,20 @@
      sequentially and through the domain pool;
    - the sigmoid LUT must stay inside its documented error budget and
      must not change eval-level rankings on planted-cluster data;
+   - every trainer (pseudolikelihood perceptron, pseudolikelihood
+     gradient, structured), sequentially and on a 2-job pool, gives
+     byte-identical weights whether it scores from weight rows
+     ([Incremental]) or by per-candidate lookups ([Full_rescore]);
    - a qcheck property pins the Scorer invariant: cached candidate
      scores equal freshly computed node_score after arbitrary flip
-     sequences, on a model under training (columns filled by weight
-     lookups) and on a prepared model (columns filled from weight
-     rows);
+     sequences, on a freshly trained model and on a copy-loaded one;
    - the row primitive itself ([Itbl.scatter], through a dense label
      map) writes exactly what per-candidate lookups give, on heap and
-     mapped tables, and MAP on serve-style models of all four
-     languages, mapped and copied, agrees between row fill, lookup fill
-     and full rescoring. *)
+     mapped tables and on a heap table whose rows grew with it through
+     a rehash; a heap table's rows stay current under updates, new keys
+     and rehashes;
+     and MAP on serve-style models of all four languages, mapped and
+     copied, agrees between row fill and full rescoring. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -73,12 +77,12 @@ let fixtures = [ ("js", js_fixture); ("java", java_fixture) ]
 
 let quick_pl = { Crf.Train.default_config with Crf.Train.iterations = 3 }
 
-let quick_structured =
-  {
-    Crf.Train.default_config with
-    Crf.Train.iterations = 3;
-    trainer = Crf.Fast.Structured;
-  }
+let trainers =
+  [
+    ("pseudolikelihood", Crf.Fast.Pseudolikelihood);
+    ("pl-gradient", Crf.Fast.Pl_gradient);
+    ("structured", Crf.Fast.Structured);
+  ]
 
 let with_engine cfg engine = { cfg with Crf.Train.engine }
 
@@ -119,32 +123,51 @@ let test_icm_map_golden () =
         test_graphs)
       fixtures
 
-(* Structured training runs ICM inside the perceptron loop: training
-   under each engine must give byte-identical weights (sorted dumps)
-   and predictions. *)
+(* Every trainer scores from weight rows under [Incremental] — the
+   pseudolikelihood passes walk one row per factor column, structured
+   training runs the row-filled ICM — and by per-candidate lookups
+   under [Full_rescore]. Training under each engine must give
+   byte-identical weights (sorted dumps) and predictions, sequentially
+   and on a 2-job pool. *)
 let test_icm_train_golden () =
   List.iter
     (fun (name, fixture) ->
       let train_graphs, test_graphs = Lazy.force fixture in
-      let m_inc =
-        Crf.Train.train
-          ~config:(with_engine quick_structured Crf.Fast.Incremental)
-          train_graphs
-      in
-      let m_full =
-        Crf.Train.train
-          ~config:(with_engine quick_structured Crf.Fast.Full_rescore)
-          train_graphs
-      in
-      check_bool
-        (Printf.sprintf "%s trained weights byte-identical" name)
-        true
-        (sorted_dump m_inc.Crf.Train.fast = sorted_dump m_full.Crf.Train.fast);
-      check_bool
-        (Printf.sprintf "%s predictions identical" name)
-        true
-        (List.map (Crf.Train.predict m_inc) test_graphs
-        = List.map (Crf.Train.predict m_full) test_graphs))
+      List.iter
+        (fun (tname, trainer) ->
+          List.iter
+            (fun jobs ->
+              let pool = if jobs = 1 then None else Some (pool ~jobs) in
+              let cfg =
+                {
+                  Crf.Train.default_config with
+                  Crf.Train.iterations = 3;
+                  trainer;
+                }
+              in
+              let m_inc =
+                Crf.Train.train ?pool
+                  ~config:(with_engine cfg Crf.Fast.Incremental)
+                  train_graphs
+              in
+              let m_full =
+                Crf.Train.train ?pool
+                  ~config:(with_engine cfg Crf.Fast.Full_rescore)
+                  train_graphs
+              in
+              let what = Printf.sprintf "%s %s jobs=%d" name tname jobs in
+              check_bool
+                (what ^ ": trained weights byte-identical")
+                true
+                (sorted_dump m_inc.Crf.Train.fast
+                = sorted_dump m_full.Crf.Train.fast);
+              check_bool
+                (what ^ ": predictions identical")
+                true
+                (List.map (Crf.Train.predict m_inc) test_graphs
+                = List.map (Crf.Train.predict m_full) test_graphs))
+            [ 1; 2 ])
+        trainers)
     fixtures
 
 (* The string-side Inference sweep (used by top_k and the baselines)
@@ -223,11 +246,11 @@ let load_copy path =
   | Ok m -> m
   | Error d -> Alcotest.failf "load %s: %a" path Lexkit.Diag.pp d
 
-(* [prepared = false]: the trained model as training leaves it, whose
-   Scorer fills columns by per-candidate lookups. [prepared = true]:
-   the same model saved, loaded as a heap copy and prepared, whose
-   Scorer fills them from weight rows (the golden below covers rows
-   over mapped tables). *)
+(* [prepared = false]: the trained model as training leaves it, with
+   the rows its tables kept current through training. [prepared =
+   true]: the same model saved, loaded as a heap copy and prepared,
+   whose rows grew as the load filled its tables (the golden below
+   covers rows over mapped tables). *)
 let scorer_fixture ~prepared =
   lazy
     (let train_graphs, test_graphs = Lazy.force js_fixture in
@@ -310,18 +333,24 @@ let prop_scorer_matches_node_score ~prepared =
 (* Keys packed like pairwise weights (a, rel, b) in 18/24/18-bit
    fields, grouped into rows by (rel, b): scattering a row onto any
    candidate list — unsorted, with repeats, with labels the row lacks —
-   must write exactly [mult *. get] at every candidate, for heap and
-   mapped tables alike. *)
+   must write exactly [mult *. get] at every candidate, and adding it
+   must add exactly that, for three tables: a heap table with rows
+   filled by [set] without a rehash, a mapped one, and a heap table
+   that starts at 16 slots with its rows and reaches the same keys
+   through random [add]s and [set]s and at least one rehash. *)
+let pairwise_rows = [ (42, 18) ]
+
 let prop_rows_match_get =
   QCheck2.Test.make ~name:"kernels: row scatter = per-candidate get"
     ~count:100
     QCheck2.Gen.(
-      triple
+      quad
         (list_size (int_range 0 120)
            (triple (int_bound 7) (int_bound 2) (int_bound 3)))
         (list_size (int_range 0 12) (int_bound 9))
-        (pair (int_bound 2) (int_bound 3)))
-    (fun (entries, cands, (rel, b)) ->
+        (pair (int_bound 2) (int_bound 3))
+        (list_size (int_range 9 60) (pair bool (int_bound 99))))
+    (fun (entries, cands, (rel, b), ops) ->
       let key a r b = (a lsl 42) lor (r lsl 18) lor b in
       let keys =
         Array.of_list
@@ -329,13 +358,33 @@ let prop_rows_match_get =
              (List.map (fun (a, r, b) -> key a r b) entries))
       in
       let value k = float_of_int ((k lsr 42) + (k land 0xFF)) -. 17.5 in
-      let heap = Crf.Itbl.create 16 in
+      let heap = Crf.Itbl.create ~rows:pairwise_rows 256 in
       Array.iter (fun k -> Crf.Itbl.set heap k (value k)) keys;
       let vals =
         Bigarray.Array1.of_array Bigarray.float64 Bigarray.c_layout
           (Array.map value keys)
       in
       let mapped = Crf.Itbl.of_sorted_mapped ~keys ~vals ~verify:ignore in
+      Crf.Itbl.build_rows mapped pairwise_rows;
+      (* The grown table: 9 to 60 distinct keys outside [keys] (labels
+         8 to 15, so some share the scattered row), bound by random
+         [add]s and [set]s — 16 slots rehash at the 8th — then every key
+         of [keys] at its value, half of them in two [add]s. *)
+      let grown = Crf.Itbl.create ~rows:pairwise_rows 16 in
+      List.iteri
+        (fun i (is_add, v) ->
+          let k = key (8 + (i mod 8)) ((i / 8) mod 4) (i / 32) in
+          if is_add then Crf.Itbl.add grown k (float_of_int (v + 1))
+          else Crf.Itbl.set grown k (float_of_int v))
+        ops;
+      Array.iter
+        (fun k ->
+          if k land 1 = 0 then Crf.Itbl.set grown k (value k)
+          else begin
+            Crf.Itbl.add grown k 2.;
+            Crf.Itbl.add grown k (value k -. 2.)
+          end)
+        keys;
       let cs = Array.of_list cands in
       let nc = Array.length cs in
       (* The dense label map: each label's first position, chained
@@ -348,47 +397,70 @@ let prop_rows_match_get =
       done;
       let mult = 3. in
       List.for_all
-        (fun tbl ->
-          let rows = Crf.Itbl.rows tbl ~label_shift:42 ~label_bits:18 in
-          let dst = Array.make (nc + 2) 0. in
-          Crf.Itbl.scatter rows (key 0 rel b) ~first ~next dst ~off:1 ~mult;
-          dst.(0) = 0.
-          && dst.(nc + 1) = 0.
-          && Array.for_all Fun.id
-               (Array.mapi
-                  (fun c l ->
-                    dst.(c + 1) = mult *. Crf.Itbl.get tbl (key l rel b))
-                  cs))
-        [ heap; mapped ])
+           (fun tbl ->
+             let dst = Array.make (nc + 2) 0. in
+             Crf.Itbl.scatter tbl 0 (key 0 rel b) ~first ~next dst ~off:1 ~mult;
+             let sum = Array.make (nc + 2) 1. in
+             Crf.Itbl.scatter_add tbl 0 (key 0 rel b) ~first ~next sum ~off:1
+               ~mult;
+             dst.(0) = 0.
+             && dst.(nc + 1) = 0.
+             && sum.(0) = 1.
+             && sum.(nc + 1) = 1.
+             && Array.for_all Fun.id
+                  (Array.mapi
+                     (fun c l ->
+                       let w = mult *. Crf.Itbl.get tbl (key l rel b) in
+                       dst.(c + 1) = w && sum.(c + 1) = 1. +. w)
+                     cs))
+           [ heap; mapped; grown ])
 
-(* Rows are built from a table's entries at one moment: a value
-   changed in place stays visible to them, a key added afterwards
-   makes them stale, and [rows_current] must say so (the Scorer then
-   fills by lookup). *)
+(* A heap table keeps the rows it was created with current: a value
+   changed in place, a new key and a rehash that moves every entry are
+   all visible to the next scatter. A heap table gets rows only at
+   [create]: building them later is refused. *)
 let test_rows_current () =
-  let t = Crf.Itbl.create 16 in
+  let first = Array.make 64 (-1) in
+  let scatter t labels =
+    List.iteri (fun p l -> first.(l) <- p) labels;
+    let dst = Array.make (List.length labels) 0. in
+    Crf.Itbl.scatter t 0 0 ~first ~next:(Array.make 64 (-1)) dst ~off:0
+      ~mult:1.;
+    List.iter (fun l -> first.(l) <- -1) labels;
+    dst
+  in
+  let expect n =
+    Array.init n (fun i ->
+        match i + 3 with
+        | 5 -> 2.
+        | 7 -> 3.
+        | l when l >= 8 -> float_of_int l
+        | _ -> 0.)
+  in
+  let t = Crf.Itbl.create ~rows:[ (0, 18) ] 16 in
   Crf.Itbl.set t 5 1.;
-  let rows = Crf.Itbl.rows t ~label_shift:0 ~label_bits:18 in
-  check_bool "fresh rows are current" true (Crf.Itbl.rows_current rows);
+  check_bool "an existing key is visible" true (scatter t [ 5 ] = [| 1. |]);
   Crf.Itbl.add t 5 1.;
-  let dst = [| 0. |] in
-  let first = Array.make 8 (-1) in
-  first.(5) <- 0;
-  Crf.Itbl.scatter rows 0 ~first ~next:[| -1 |] dst ~off:0 ~mult:1.;
-  check_bool "in-place update is current and visible" true
-    (Crf.Itbl.rows_current rows && dst.(0) = 2.);
-  Crf.Itbl.set t 7 1.;
-  check_bool "a new key makes rows stale" false (Crf.Itbl.rows_current rows)
+  check_bool "an in-place update is visible" true (scatter t [ 5 ] = [| 2. |]);
+  Crf.Itbl.set t 7 3.;
+  check_bool "a new key is visible" true (scatter t [ 5; 7 ] = [| 2.; 3. |]);
+  for l = 8 to 40 do
+    Crf.Itbl.set t l (float_of_int l)
+  done;
+  check_bool "every key is visible after a rehash" true
+    (scatter t (List.init 38 (fun i -> i + 3)) = expect 38);
+  check_bool "rows are not built onto a heap table" true
+    (match Crf.Itbl.build_rows (Crf.Itbl.create 16) [ (0, 18) ] with
+    | () -> false
+    | exception Invalid_argument _ -> true)
 
-(* ---------- golden: row fill = lookup fill = full rescore ---------- *)
+(* ---------- golden: row fill = full rescore ---------- *)
 
 (* Serve-style models (default training config, one per language)
    loaded the two ways the daemon loads them, mapped and copied. On
    each load, MAP over held-out files and over the buffers of an edit
-   trace must give one assignment three ways: [Incremental] on a
-   prepared model (columns from weight rows), [Incremental] on an
-   unprepared one (columns from per-candidate lookups) and
-   [Full_rescore]. *)
+   trace must give one assignment two ways: [Incremental] on a
+   prepared model (columns from weight rows) and [Full_rescore]. *)
 let test_row_fill_golden () =
   let cfg = Crf.Fast.default_config in
   let full = { cfg with Crf.Fast.engine = Crf.Fast.Full_rescore } in
@@ -414,10 +486,8 @@ let test_row_fill_golden () =
       in
       List.iter
         (fun (how, load) ->
-          let prepared = load path and unprepared = load path in
+          let prepared = load path in
           let cands_p = Crf.Train.candidates prepared in
-          let cands_u = Lazy.force unprepared.Crf.Train.candidates in
-          Crf.Fast.verify_tables unprepared.Crf.Train.fast;
           let solve cfg cands (model : Crf.Train.model) code =
             let m = model.Crf.Train.fast in
             let eg =
@@ -433,8 +503,6 @@ let test_row_fill_golden () =
               let what =
                 Printf.sprintf "%s %s input %d: " lang.Pigeon.Lang.name how i
               in
-              check_bool (what ^ "row fill = lookup fill") true
-                (rows = solve cfg cands_u unprepared code);
               check_bool (what ^ "row fill = full rescore") true
                 (rows = solve full cands_p prepared code))
             (held_out @ edits))
@@ -566,8 +634,7 @@ let () =
           QCheck_alcotest.to_alcotest
             (prop_scorer_matches_node_score ~prepared:true);
           QCheck_alcotest.to_alcotest prop_rows_match_get;
-          Alcotest.test_case "rows go stale when a key is added" `Quick
-            test_rows_current;
+          Alcotest.test_case "rows stay current" `Quick test_rows_current;
         ] );
       ( "sgns",
         [

@@ -172,6 +172,38 @@ let prop_mapped_get_equals_heap =
            (fun k -> Crf.Itbl.get mapped k = Crf.Itbl.get heap k)
            probes)
 
+(* A mapped table given a dense copy of its values ([build_dense]) reads
+   one cell per [get]. It must still agree with a heap table on every
+   key, stored or absent, below and beyond the copy's bound; a bound
+   that some key reaches leaves it searching the key run, and a copy is
+   made only once the pending checksum has run. *)
+let prop_dense_get_equals_heap =
+  QCheck2.Test.make ~name:"itbl: dense mapped get = heap get" ~count:200
+    QCheck2.Gen.(
+      pair (list_size (int_range 0 100) (int_bound 300)) (int_bound 400))
+    (fun (ks, n) ->
+      let keys = Array.of_list (List.sort_uniq compare ks) in
+      let value k = if k mod 5 = 0 then 0. else float_of_int k -. 150.5 in
+      let vals =
+        Bigarray.Array1.of_array Bigarray.float64 Bigarray.c_layout
+          (Array.map value keys)
+      in
+      let heap = Crf.Itbl.create 16 in
+      Array.iter (fun k -> Crf.Itbl.set heap k (value k)) keys;
+      let verified = ref false in
+      let mapped =
+        Crf.Itbl.of_sorted_mapped ~keys ~vals ~verify:(fun () ->
+            verified := true)
+      in
+      Crf.Itbl.build_dense mapped n;
+      let dense =
+        n > 0 && Array.for_all (fun k -> k < n) keys
+      in
+      (!verified || not dense)
+      && List.for_all
+           (fun k -> Crf.Itbl.get mapped k = Crf.Itbl.get heap k)
+           (max_int :: List.init 420 Fun.id))
+
 (* ---------- corruption containment ---------- *)
 
 (* A damaged file must answer with [Corrupt_model] — either at load
@@ -451,6 +483,7 @@ let suite =
         Alcotest.test_case "mapped tables read-only" `Quick
           test_itbl_mapped_read_only;
         QCheck_alcotest.to_alcotest prop_mapped_get_equals_heap;
+        QCheck_alcotest.to_alcotest prop_dense_get_equals_heap;
       ] );
     ( "crf-corruption",
       [
