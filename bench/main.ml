@@ -23,6 +23,30 @@ let scaled n = if !quick then max 40 (n / 4) else n
 let bench_file name =
   Printf.sprintf "BENCH_%s%s.json" name (if !quick then ".quick" else "")
 
+(* The tree a result came from: [git describe --always --dirty], or
+   "unknown" outside a git checkout. *)
+let commit =
+  lazy
+    (let ic = Unix.open_process_in "git describe --always --dirty 2>/dev/null" in
+     let line = try String.trim (input_line ic) with End_of_file -> "" in
+     match Unix.close_process_in ic with
+     | Unix.WEXITED 0 when line <> "" -> line
+     | _ -> "unknown")
+
+(* Open an experiment's results file and write the header every
+   BENCH_<name>.json starts with: the experiment, whether it was a
+   --quick run, and the host and tree it ran on. The caller writes the
+   rest of the object. *)
+let open_bench name ~bench =
+  let oc = open_out (bench_file name) in
+  Printf.fprintf oc
+    "{\n  \"bench\": %S,\n  \"quick\": %b,\n  \"cores\": %d,\n  \"ocaml\": %S,\n\
+    \  \"commit\": %S,\n"
+    bench !quick
+    (Domain.recommended_domain_count ())
+    Sys.ocaml_version (Lazy.force commit);
+  oc
+
 (* ---------- corpora ---------- *)
 
 let corpus_cache :
@@ -660,9 +684,8 @@ let extract_bench () =
     (float total_n /. t_naive)
     (float total_n /. t_iter)
     speedup;
-  let oc = open_out (bench_file "extract") in
-  Printf.fprintf oc "{\n  \"bench\": \"path-extraction\",\n";
-  Printf.fprintf oc "  \"quick\": %b,\n  \"languages\": [\n" !quick;
+  let oc = open_bench "extract" ~bench:"path-extraction" in
+  Printf.fprintf oc "  \"languages\": [\n";
   List.iteri
     (fun i (name, files, n, tn, ti, an, ai) ->
       Printf.fprintf oc
@@ -886,7 +909,7 @@ let parallel_bench () =
        checks ran unconditionally\n%!"
       cores;
 
-  let oc = open_out (bench_file "parallel") in
+  let oc = open_bench "parallel" ~bench:"parallel-scaling" in
   let row_json (jobs, t) base =
     Printf.sprintf "{\"jobs\": %d, \"seconds\": %.4f, \"speedup\": %.3f}" jobs
       t (base /. t)
@@ -895,9 +918,7 @@ let parallel_bench () =
     Printf.sprintf "    \"%s\": [%s]" name
       (String.concat ", " (List.map (fun r -> row_json r base) rows))
   in
-  Printf.fprintf oc "{\n  \"bench\": \"parallel-scaling\",\n";
-  Printf.fprintf oc "  \"quick\": %b,\n  \"cores\": %d,\n  \"jobs\": [%s],\n"
-    !quick cores
+  Printf.fprintf oc "  \"jobs\": [%s],\n"
     (String.concat ", " (List.map string_of_int jobs_list));
   Printf.fprintf oc "  \"speedup_floor_enforced\": %b,\n" gate_enforced;
   Printf.fprintf oc "  \"stages\": {\n%s,\n%s,\n%s,\n%s\n  },\n"
@@ -1472,9 +1493,7 @@ let train_bench () =
   end
   else Printf.printf "speedup floor not enforced (--quick)\n%!";
 
-  let oc = open_out (bench_file "train") in
-  Printf.fprintf oc "{\n  \"bench\": \"training-kernels\",\n";
-  Printf.fprintf oc "  \"quick\": %b,\n" !quick;
+  let oc = open_bench "train" ~bench:"training-kernels" in
   Printf.fprintf oc
     "  \"crf_train\": {\"trainer\": \"structured\", \"graphs\": %d, \
      \"iterations\": %d,\n\
@@ -2038,9 +2057,7 @@ let intern_bench () =
   if not floor_enforced then
     Printf.printf "speedup floors not enforced (--quick)\n%!";
 
-  let oc = open_out (bench_file "intern") in
-  Printf.fprintf oc "{\n  \"bench\": \"interned-pipeline\",\n";
-  Printf.fprintf oc "  \"quick\": %b,\n" !quick;
+  let oc = open_bench "intern" ~bench:"interned-pipeline" in
   Printf.fprintf oc
     "  \"encode\": {\"graphs\": %d, \"old_seconds\": %.4f, \"new_seconds\": \
      %.4f, \"speedup\": %.2f},\n"
@@ -2359,9 +2376,7 @@ let serve_bench () =
         (Printf.sprintf "serve overload p99 %.1f ms > floor %.1f ms" ov_p99
            ov_p99_floor_ms)
   end;
-  let oc = open_out (bench_file "serve") in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"quick\": %b,\n" !quick;
+  let oc = open_bench "serve" ~bench:"serve-throughput" in
   Printf.fprintf oc "  \"clients\": %d,\n  \"requests_per_client\": %d,\n"
     n_clients per_client;
   Printf.fprintf oc "  \"hostile_requests\": %d,\n" !n_hostile;
@@ -2545,9 +2560,7 @@ let incremental_bench () =
     Printf.printf
       "  warn: extraction speedup %.2fx below-floor %.1f (not enforced)\n%!"
       ext_med floor;
-  let oc = open_out (bench_file "incremental") in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"quick\": %b,\n" !quick;
+  let oc = open_bench "incremental" ~bench:"incremental-extraction" in
   Printf.fprintf oc "  \"functions\": %d,\n  \"edits\": %d,\n" funcs steps;
   Printf.fprintf oc "  \"avg_contexts_per_step\": %d,\n"
     (!contexts / (steps + 1));
@@ -2785,9 +2798,7 @@ let oocore_bench () =
     fail_or_warn
       (Printf.sprintf "peak live heap %.1f MB exceeds the %d MB cap"
          (mb !peak_live) cap_mb);
-  let oc = open_out (bench_file "oocore") in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"quick\": %b,\n" !quick;
+  let oc = open_bench "oocore" ~bench:"out-of-core" in
   Printf.fprintf oc "  \"files\": %d,\n" n_files;
   Printf.fprintf oc "  \"pairs\": %d,\n  \"shards\": %d,\n" total_pairs
     n_shards;

@@ -41,7 +41,9 @@
 # is enforced on full runs only), an out-of-core smoke (train to disk
 # shards with a tiny heap budget, SIGKILL the checkpointed run
 # mid-training, resume it, and require the resumed model to be
-# byte-identical to an uninterrupted run), and the quick oocore bench
+# byte-identical to an uninterrupted run), a w2v smoke (`pigeon train
+# --w2v` at -j 1 and -j 2 must write the same bytes: SGNS trains
+# unpooled), and the quick oocore bench
 # (streamed shards, peak-live-heap sampling, in-process kill/resume
 # byte-identity for both trainers; heap-cap and identity floors are
 # enforced on full runs only). Every bench run here is --quick, so it
@@ -439,5 +441,14 @@ cmp "$OOC/model_a.crf" "$OOC/model_b.crf" || {
   exit 1
 }
 echo "oocore smoke: ok (killed run resumed to a byte-identical model)"
+
+# ---- w2v smoke: SGNS trains without the pool, so -j leaves it alone ----
+"$PIGEON_BIN" train --w2v --files 40 -j 1 "$SMOKE_DIR/w2v_j1.w2v"
+"$PIGEON_BIN" train --w2v --files 40 -j 2 "$SMOKE_DIR/w2v_j2.w2v"
+cmp "$SMOKE_DIR/w2v_j1.w2v" "$SMOKE_DIR/w2v_j2.w2v" || {
+  echo "w2v smoke: -j 1 and -j 2 trained different models" >&2
+  exit 1
+}
+echo "w2v smoke: ok"
 
 dune exec bench/main.exe -- --quick oocore

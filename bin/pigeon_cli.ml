@@ -319,15 +319,18 @@ let train_cmd =
             exit 1
       else None
     in
-    let warn_jobs ck_jobs =
-      if ck_jobs <> jobs_n then
+    let warn_jobs ~now ck_jobs =
+      if ck_jobs <> now then
         Format.eprintf
           "pigeon train: warning: checkpoint was written with %d job(s), \
            resuming with %d — the result will not be bit-identical to an \
            uninterrupted run@."
-          ck_jobs jobs_n
+          ck_jobs now
     in
     if w2v then begin
+      (* Both SGNS trainers run without the pool: the sequential C
+         kernel beats every pooled mode, so a w2v model is the same at
+         every -j (extraction still fans out). *)
       let sgns_config = Word2vec.Sgns.default_config in
       let model =
         match shard_dir with
@@ -346,7 +349,7 @@ let train_cmd =
                 (List.concat elems)
             in
             Format.eprintf "training on %d pairs...@." (List.length pairs);
-            Word2vec.Sgns.train ?pool ~config:sgns_config pairs
+            Word2vec.Sgns.train ~config:sgns_config pairs
         | Some dir ->
             let set =
               shard_set dir ~extract:(fun dir srcs ->
@@ -364,7 +367,7 @@ let train_cmd =
             let config =
               match from with
               | Some ck ->
-                  warn_jobs ck.Word2vec.Sgns.ck_jobs;
+                  warn_jobs ~now:1 ck.Word2vec.Sgns.ck_jobs;
                   Format.eprintf "pigeon train: resuming at epoch %d, shard %d@."
                     ck.Word2vec.Sgns.ck_next_epoch ck.Word2vec.Sgns.ck_next_shard;
                   ck.Word2vec.Sgns.ck_config
@@ -379,7 +382,7 @@ let train_cmd =
             Format.eprintf "training on %d pairs in %d shards...@."
               (Array.fold_left ( + ) 0 plan.Pigeon.W2v_task.plan_sizes)
               (Corpus.Shard.n_shards set);
-            Word2vec.Sgns.train_stream ?pool ~config
+            Word2vec.Sgns.train_stream ~config
               ~words:plan.Pigeon.W2v_task.plan_words
               ~contexts:plan.Pigeon.W2v_task.plan_contexts
               ~shard_sizes:plan.Pigeon.W2v_task.plan_sizes
@@ -425,7 +428,7 @@ let train_cmd =
                       ck.Crf.Serialize.ck_n_shards n_shards;
                     exit 1
                   end;
-                  warn_jobs ck.Crf.Serialize.ck_jobs;
+                  warn_jobs ~now:jobs_n ck.Crf.Serialize.ck_jobs;
                   Format.eprintf
                     "pigeon train: resuming at iteration %d, shard %d@."
                     ck.Crf.Serialize.ck_next_it ck.Crf.Serialize.ck_next_shard;

@@ -147,18 +147,19 @@ type plan = {
    see. *)
 let plan_pairs plan s =
   let raw = Corpus.Shard.pairs plan.plan_set s in
-  let out = Array.make (max (Array.length raw) 1) (0, 0) in
+  let out = Array.make (2 * Array.length raw) 0 in
   let k = ref 0 in
   Array.iter
     (fun (a, b) ->
       let va = Word2vec.Vocab.of_interned plan.plan_words a
       and vb = Word2vec.Vocab.of_interned plan.plan_contexts b in
       if va >= 0 && vb >= 0 then begin
-        out.(!k) <- (va, vb);
+        out.(2 * !k) <- va;
+        out.((2 * !k) + 1) <- vb;
         incr k
       end)
     raw;
-  Array.sub out 0 !k
+  if 2 * !k = Array.length out then out else Array.sub out 0 (2 * !k)
 
 (* Counting is per interned id over the set's (already resident)
    string table — exact, one int-array slot per distinct string — then
@@ -187,7 +188,7 @@ let plan_of_set ?(min_count = 1) set =
   in
   let plan_sizes =
     Array.init (Corpus.Shard.n_shards set) (fun s ->
-        Array.length (plan_pairs plan s))
+        Array.length (plan_pairs plan s) / 2)
   in
   { plan with plan_sizes }
 

@@ -61,10 +61,12 @@ val plan_of_set : ?min_count:int -> Corpus.Shard.set -> plan
     post-filter shard sizes (a second pass). Raises [Invalid_argument]
     on a non-[Pairs] set. *)
 
-val plan_pairs : plan -> int -> (int * int) array
+val plan_pairs : plan -> int -> int array
 (** Load shard [s] as vocab-id pairs, dropping pairs with a filtered
-    side — exactly {!Word2vec.Sgns.prepare}'s in-memory filter.
-    Returns [plan_sizes.(s)] pairs, identical on every call. *)
+    side — exactly {!Word2vec.Sgns.train}'s in-memory filter. Returns
+    [plan_sizes.(s)] pairs, flat as {!Word2vec.Sgns.train_stream}
+    reads them (word, context, word, context, ...), identical on every
+    call. *)
 
 type result = {
   summary : Metrics.summary;

@@ -33,11 +33,13 @@ let escape_to buf s =
   Buffer.add_char buf '"'
 
 (* Integral values print as integers (ids, counts); other floats get
-   the shortest decimal form that round-trips. *)
+   the shortest decimal form that round-trips. JSON has no infinity or
+   NaN (a number literal can still overflow to infinity), so those
+   print as null. *)
 let number_to_string f =
   if Float.is_integer f && Float.abs f < 1e15 then
     Printf.sprintf "%d" (int_of_float f)
-  else if Float.is_nan f || Float.is_integer (f /. 0.) then "null"
+  else if not (Float.is_finite f) then "null"
   else
     let s = Printf.sprintf "%.12g" f in
     if float_of_string s = f then s else Printf.sprintf "%.17g" f

@@ -232,8 +232,9 @@ let read_config r =
   let learning_rate = r_float r "learning_rate" in
   let min_count = r_int r "min_count" in
   let seed = r_int r "seed" in
-  if dim < 0 then failwith "negative vector dimension";
-  { Sgns.dim; epochs; negatives; learning_rate; min_count; seed }
+  let config = { Sgns.dim; epochs; negatives; learning_rate; min_count; seed } in
+  Option.iter (fun msg -> failwith ("config: " ^ msg)) (Sgns.config_error config);
+  config
 
 let read_vocab r what =
   let open Lexkit.Binio in
@@ -424,7 +425,7 @@ let parse ?source next_line =
         }
     | _ -> fail "bad config record"
   in
-  if config.Sgns.dim < 0 then fail "negative vector dimension";
+  Option.iter (fail "config: %s") (Sgns.config_error config);
   let read_matrix tag header =
     let n =
       match String.split_on_char ' ' (record ()) with

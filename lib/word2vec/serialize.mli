@@ -21,7 +21,9 @@
     trailing garbage and bit-flips are detected. Loaders never raise
     [Failure]; every malformed input is reported as a {!Lexkit.Diag.t}
     with kind [Corrupt_model] — a line number for text formats, a byte
-    offset in the message for binary. *)
+    offset in the message for binary. That includes a well-formed file
+    whose config {!Sgns.config_error} refuses (say [negatives] =
+    10{^8}): models and checkpoints alike, with the field named. *)
 
 val save : Sgns.t -> string -> unit
 (** Raises [Sys_error] on I/O failure. *)
@@ -84,7 +86,7 @@ val checkpoint_to_string : Sgns.ckpt -> string
 val checkpoint_load : string -> (Sgns.ckpt, Lexkit.Diag.t) result
 (** [Error] carries [Io_error] (unreadable) or [Corrupt_model]
     (truncated, mangled, bad cursor or shard layout, checksum
-    mismatch). *)
+    mismatch, a config out of {!Sgns.config_error}'s bounds). *)
 
 val checkpoint_of_string :
   ?source:string -> string -> (Sgns.ckpt, Lexkit.Diag.t) result

@@ -17,6 +17,23 @@ let default_config =
     seed = 9;
   }
 
+(* The slice kernel sizes stack arrays from [dim] and [negatives]
+   (sgns_stubs.c), so both stay within bounds that any real model
+   meets: a hostile config is refused before any kernel call. *)
+let max_dim = 4096
+let max_negatives = 64
+
+let config_error c =
+  if c.dim < 1 || c.dim > max_dim then
+    Some (Printf.sprintf "dim %d outside [1, %d]" c.dim max_dim)
+  else if c.negatives < 0 || c.negatives > max_negatives then
+    Some
+      (Printf.sprintf "negatives %d outside [0, %d]" c.negatives max_negatives)
+  else None
+
+let check_config who c =
+  Option.iter (fun msg -> invalid_arg (who ^ ": " ^ msg)) (config_error c)
+
 type t = {
   config : config;
   words : Vocab.t;
@@ -87,13 +104,21 @@ let learning_rate_at config ~step ~total =
     (config.learning_rate *. (1. -. progress))
     (config.learning_rate *. 1e-4)
 
-let fisher_yates rng arr =
-  for i = Array.length arr - 1 downto 1 do
+(* Id pairs live in one flat int array, word then context: pair [i]
+   is [pairs.(2i), pairs.(2i+1)]. Fisher-Yates over pairs, with the
+   same draws and the same permutation as over an array of tuples. *)
+let shuffle_pairs rng pairs =
+  for i = (Array.length pairs / 2) - 1 downto 1 do
     let j = Random.State.int rng (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
+    let wi = pairs.(2 * i) and ci = pairs.((2 * i) + 1) in
+    pairs.(2 * i) <- pairs.(2 * j);
+    pairs.((2 * i) + 1) <- pairs.((2 * j) + 1);
+    pairs.(2 * j) <- wi;
+    pairs.((2 * j) + 1) <- ci
   done
+
+(* Pairs [lo..hi] (inclusive) of a flat pair array, as their own. *)
+let sub_pairs pairs (lo, hi) = Array.sub pairs (2 * lo) (2 * (hi - lo + 1))
 
 (* Pairs a shard trains on between two barriers of a deterministic
    round. Small bounds gradient staleness (a delta is at most this
@@ -127,16 +152,15 @@ let prepare config pairs =
   let n_input = List.length pairs in
   (* Each token is hashed exactly once, here; everything downstream is
      int-array reads. *)
-  let sid_pairs = Array.make (max n_input 1) (0, 0) in
-  let n = ref 0 in
-  List.iter
-    (fun (w, c) ->
+  let flat = Array.make (2 * n_input) 0 in
+  List.iteri
+    (fun k (w, c) ->
       let wi = Intern.Strtab.intern wtab w in
       let ci = Intern.Strtab.intern ctab c in
       bump wcounts wi;
       bump ccounts ci;
-      sid_pairs.(!n) <- (wi, ci);
-      incr n)
+      flat.(2 * k) <- wi;
+      flat.((2 * k) + 1) <- ci)
     pairs;
   let words =
     Vocab.of_strtab ~min_count:config.min_count wtab
@@ -146,19 +170,22 @@ let prepare config pairs =
     Vocab.of_strtab ~min_count:config.min_count ctab
       (Array.sub !ccounts 0 (Intern.Strtab.size ctab))
   in
-  (* Id pairs land straight in a preallocated array — no intermediate
-     list of the whole corpus, and the remap is two array lookups. *)
-  let id_pairs = Array.make (max n_input 1) (0, 0) in
+  (* Vocab ids overwrite the interned ids in place (a kept pair never
+     moves right), so the corpus is one flat array throughout and the
+     remap is two array lookups per pair. *)
   let n_pairs = ref 0 in
   for k = 0 to n_input - 1 do
-    let wi, ci = sid_pairs.(k) in
-    let wv = Vocab.of_interned words wi and cv = Vocab.of_interned contexts ci in
+    let wv = Vocab.of_interned words flat.(2 * k)
+    and cv = Vocab.of_interned contexts flat.((2 * k) + 1) in
     if wv >= 0 && cv >= 0 then begin
-      id_pairs.(!n_pairs) <- (wv, cv);
+      flat.(2 * !n_pairs) <- wv;
+      flat.((2 * !n_pairs) + 1) <- cv;
       incr n_pairs
     end
   done;
-  let pairs = Array.sub id_pairs 0 !n_pairs in
+  let pairs =
+    if !n_pairs = n_input then flat else Array.sub flat 0 (2 * !n_pairs)
+  in
   let rng = Random.State.make [| config.seed |] in
   (words, contexts, pairs, !n_pairs, rng)
 
@@ -230,7 +257,7 @@ let update_pair_fast ~w ~c ~grad_w ~wo ~co ~dim ~lr label =
       us c (co + d) (cvd -. (g *. ug w (wo + d)))
     done
 
-let sgd_step_flat config ~neg_table ~w ~c ~grad_w ~rng ~lr ~lut (wi, ci) =
+let sgd_step_flat config ~neg_table ~w ~c ~grad_w ~rng ~lr ~lut wi ci =
   let dim = config.dim in
   let wo = wi * dim in
   Float.Array.fill grad_w 0 dim 0.;
@@ -251,16 +278,22 @@ let sgd_step_flat config ~neg_table ~w ~c ~grad_w ~rng ~lr ~lut (wi, ci) =
    The stub touches no OCaml heap state beyond its arguments and never
    allocates; slices are bounded below so a long epoch can't hold up
    other domains' stop-the-world collections. *)
-external train_slice_c :
-  Float.Array.t ->
-  Float.Array.t ->
-  Float.Array.t ->
-  (int * int) array ->
-  int array ->
-  int array ->
-  Float.Array.t ->
-  unit = "caml_sgns_train_slice_bytes" "caml_sgns_train_slice"
-[@@noalloc]
+module Kernel = struct
+  let sigmoid_table = sigmoid_table
+  let lut_range = lut_range
+  let lut_scale = lut_scale
+
+  external train_slice :
+    Float.Array.t ->
+    Float.Array.t ->
+    Float.Array.t ->
+    int array ->
+    int array ->
+    int array ->
+    Float.Array.t ->
+    unit = "caml_sgns_train_slice_bytes" "caml_sgns_train_slice"
+  [@@noalloc]
+end
 
 (* Pairs per C call: big enough that the call cost vanishes, small
    enough (~a few ms of work) that other domains' STW pauses are never
@@ -276,7 +309,7 @@ let slice_pairs = 8192
    bit-for-bit replica of {!Reference}. *)
 let train_sequential_fast config ~neg_table ~w ~c ~rng pairs =
   let dim = config.dim in
-  let n_pairs = Array.length pairs in
+  let n_pairs = Array.length pairs / 2 in
   let iparams = Array.make 8 0 in
   iparams.(0) <- dim;
   iparams.(1) <- config.negatives;
@@ -285,7 +318,7 @@ let train_sequential_fast config ~neg_table ~w ~c ~rng pairs =
     Float.Array.of_list [ config.learning_rate; lut_range; lut_scale ]
   in
   for epoch = 0 to config.epochs - 1 do
-    fisher_yates rng pairs;
+    shuffle_pairs rng pairs;
     iparams.(4) <- epoch * n_pairs;
     let lo = ref 0 in
     while !lo < n_pairs do
@@ -295,7 +328,7 @@ let train_sequential_fast config ~neg_table ~w ~c ~rng pairs =
       iparams.(3) <- hi;
       iparams.(6) <- Int64.to_int (Int64.logand seed 0xFFFFFFFFL);
       iparams.(7) <- Int64.to_int (Int64.shift_right_logical seed 32);
-      train_slice_c w c sigmoid_table pairs neg_table iparams fparams;
+      Kernel.train_slice w c sigmoid_table pairs neg_table iparams fparams;
       lo := hi
     done
   done
@@ -303,18 +336,18 @@ let train_sequential_fast config ~neg_table ~w ~c ~rng pairs =
 let train_sequential_flat config ~neg_table ~w ~c ~rng ~lut pairs =
   if lut then train_sequential_fast config ~neg_table ~w ~c ~rng pairs
   else begin
-    let n_pairs = Array.length pairs in
+    let n_pairs = Array.length pairs / 2 in
     let total_steps = config.epochs * n_pairs in
-    let step = ref 0 in
     let grad_w = Float.Array.make config.dim 0. in
-    for _epoch = 0 to config.epochs - 1 do
-      fisher_yates rng pairs;
-      Array.iter
-        (fun pair ->
-          incr step;
-          let lr = learning_rate_at config ~step:!step ~total:total_steps in
-          sgd_step_flat config ~neg_table ~w ~c ~grad_w ~rng ~lr ~lut pair)
-        pairs
+    for epoch = 0 to config.epochs - 1 do
+      shuffle_pairs rng pairs;
+      for i = 0 to n_pairs - 1 do
+        let step = (epoch * n_pairs) + i + 1 in
+        let lr = learning_rate_at config ~step ~total:total_steps in
+        sgd_step_flat config ~neg_table ~w ~c ~grad_w ~rng ~lr ~lut
+          pairs.(2 * i)
+          pairs.((2 * i) + 1)
+      done
     done
   end
 
@@ -368,7 +401,7 @@ let apply_slab vecs sl =
    (nobody writes between barriers, so the live arrays *are* the
    frozen snapshot — no copy) and land in per-shard slabs. *)
 let sgd_step_delta_flat config ~neg_table ~w ~c ~grad_w ~rng ~lr ~lut ~dw ~dc
-    (wi, ci) =
+    wi ci =
   let dim = config.dim in
   let wo = wi * dim in
   Float.Array.fill grad_w 0 dim 0.;
@@ -439,12 +472,10 @@ let sgd_step_delta_flat config ~neg_table ~w ~c ~grad_w ~rng ~lr ~lut ~dw ~dc
    varies run to run, as in the original Hogwild! scheme. *)
 let train_sharded_flat ~pool ~mode config ~neg_table ~w ~c ~lut pairs =
   let shards =
-    Parallel.chunk_ranges ~chunks:(Parallel.jobs pool) (Array.length pairs)
+    Parallel.chunk_ranges ~chunks:(Parallel.jobs pool) (Array.length pairs / 2)
   in
   let k = Array.length shards in
-  let slices =
-    Array.map (fun (lo, hi) -> Array.sub pairs lo (hi - lo + 1)) shards
-  in
+  let slices = Array.map (sub_pairs pairs) shards in
   let rngs = Array.init k (fun s -> Random.State.make [| config.seed; s |]) in
   let shard_ids = Array.init k Fun.id in
   match mode with
@@ -453,28 +484,28 @@ let train_sharded_flat ~pool ~mode config ~neg_table ~w ~c ~lut pairs =
         (Parallel.map ~pool
            (fun s ->
              let slice = slices.(s) and rng = rngs.(s) in
-             let total = config.epochs * Array.length slice in
-             let step = ref 0 in
+             let len = Array.length slice / 2 in
+             let total = config.epochs * len in
              let grad_w = Float.Array.make config.dim 0. in
-             for _epoch = 0 to config.epochs - 1 do
-               fisher_yates rng slice;
-               Array.iter
-                 (fun pair ->
-                   incr step;
-                   let lr = learning_rate_at config ~step:!step ~total in
-                   sgd_step_flat config ~neg_table ~w ~c ~grad_w ~rng ~lr ~lut
-                     pair)
-                 slice
+             for epoch = 0 to config.epochs - 1 do
+               shuffle_pairs rng slice;
+               for i = 0 to len - 1 do
+                 let step = (epoch * len) + i + 1 in
+                 let lr = learning_rate_at config ~step ~total in
+                 sgd_step_flat config ~neg_table ~w ~c ~grad_w ~rng ~lr ~lut
+                   slice.(2 * i)
+                   slice.((2 * i) + 1)
+               done
              done)
            shard_ids)
   | Deterministic ->
       let max_len =
-        Array.fold_left (fun acc sl -> max acc (Array.length sl)) 0 slices
+        Array.fold_left (fun acc sl -> max acc (Array.length sl / 2)) 0 slices
       in
       for epoch = 0 to config.epochs - 1 do
         (* Epoch shuffles run on the calling domain, one shard rng
            each, keeping every shard's draw sequence well-defined. *)
-        Array.iteri (fun s slice -> fisher_yates rngs.(s) slice) slices;
+        Array.iteri (fun s slice -> shuffle_pairs rngs.(s) slice) slices;
         let off = ref 0 in
         while !off < max_len do
           let lo = !off in
@@ -482,7 +513,7 @@ let train_sharded_flat ~pool ~mode config ~neg_table ~w ~c ~lut pairs =
             Parallel.map ~pool
               (fun s ->
                 let slice = slices.(s) and rng = rngs.(s) in
-                let len = Array.length slice in
+                let len = Array.length slice / 2 in
                 let hi = min len (lo + round_pairs_per_shard) in
                 if lo >= hi then None
                 else begin
@@ -494,7 +525,9 @@ let train_sharded_flat ~pool ~mode config ~neg_table ~w ~c ~lut pairs =
                     let step = (epoch * len) + i + 1 in
                     let lr = learning_rate_at config ~step ~total in
                     sgd_step_delta_flat config ~neg_table ~w ~c ~grad_w ~rng
-                      ~lr ~lut ~dw ~dc slice.(i)
+                      ~lr ~lut ~dw ~dc
+                      slice.(2 * i)
+                      slice.((2 * i) + 1)
                   done;
                   Some (dw, dc)
                 end)
@@ -520,6 +553,7 @@ let rows_of fa ~rows ~dim =
 
 let train ?pool ?(mode = Deterministic) ?(config = default_config)
     ?(sigmoid = `Lut) pairs =
+  check_config "Sgns.train" config;
   let words, contexts, pairs, n_pairs, rng = prepare config pairs in
   let dim = config.dim in
   let nw = Vocab.size words and nc = Vocab.size contexts in
@@ -572,6 +606,7 @@ type ckpt = {
 
 let train_stream ?pool ?(config = default_config) ~words ~contexts
     ~shard_sizes ~pairs_of_shard ?from ?on_shard () =
+  check_config "Sgns.train_stream" config;
   let n_shards = Array.length shard_sizes in
   if n_shards = 0 then invalid_arg "Sgns.train_stream: no shards";
   let n_pairs = Array.fold_left ( + ) 0 shard_sizes in
@@ -612,9 +647,9 @@ let train_stream ?pool ?(config = default_config) ~words ~contexts
     Float.Array.of_list [ config.learning_rate; lut_range; lut_scale ]
   in
   let run_shard_sequential ~epoch ~shard pairs =
-    let len = Array.length pairs in
+    let len = Array.length pairs / 2 in
     let rng = Random.State.make [| config.seed; 0x0c0a; epoch; shard |] in
-    fisher_yates rng pairs;
+    shuffle_pairs rng pairs;
     (* Step base = this shard's global position in the epoch, so the
        kernel's lr schedule matches a whole-epoch walk exactly. *)
     iparams.(4) <- (epoch * n_pairs) + offsets.(shard);
@@ -626,7 +661,7 @@ let train_stream ?pool ?(config = default_config) ~words ~contexts
       iparams.(3) <- hi;
       iparams.(6) <- Int64.to_int (Int64.logand seed 0xFFFFFFFFL);
       iparams.(7) <- Int64.to_int (Int64.shift_right_logical seed 32);
-      train_slice_c w c sigmoid_table pairs neg_table iparams fparams;
+      Kernel.train_slice w c sigmoid_table pairs neg_table iparams fparams;
       lo := hi
     done
   in
@@ -637,20 +672,18 @@ let train_stream ?pool ?(config = default_config) ~words ~contexts
      checkpoint still captures the whole state. *)
   let run_shard_pooled pool ~epoch ~shard pairs =
     let subs =
-      Parallel.chunk_ranges ~chunks:(Parallel.jobs pool) (Array.length pairs)
+      Parallel.chunk_ranges ~chunks:(Parallel.jobs pool) (Array.length pairs / 2)
     in
     let k = Array.length subs in
-    let slices =
-      Array.map (fun (lo, hi) -> Array.sub pairs lo (hi - lo + 1)) subs
-    in
+    let slices = Array.map (sub_pairs pairs) subs in
     let rngs =
       Array.init k (fun sub ->
           Random.State.make [| config.seed; 0x0c0a; epoch; shard; sub |])
     in
     let sub_ids = Array.init k Fun.id in
-    Array.iteri (fun sub slice -> fisher_yates rngs.(sub) slice) slices;
+    Array.iteri (fun sub slice -> shuffle_pairs rngs.(sub) slice) slices;
     let max_len =
-      Array.fold_left (fun acc sl -> max acc (Array.length sl)) 0 slices
+      Array.fold_left (fun acc sl -> max acc (Array.length sl / 2)) 0 slices
     in
     let off = ref 0 in
     while !off < max_len do
@@ -659,7 +692,7 @@ let train_stream ?pool ?(config = default_config) ~words ~contexts
         Parallel.map ~pool
           (fun sub ->
             let slice = slices.(sub) and rng = rngs.(sub) in
-            let len = Array.length slice in
+            let len = Array.length slice / 2 in
             let hi = min len (lo + round_pairs_per_shard) in
             if lo >= hi then None
             else begin
@@ -671,7 +704,9 @@ let train_stream ?pool ?(config = default_config) ~words ~contexts
                 let step = (epoch * len) + i + 1 in
                 let lr = learning_rate_at config ~step ~total in
                 sgd_step_delta_flat config ~neg_table ~w ~c ~grad_w ~rng ~lr
-                  ~lut:true ~dw ~dc slice.(i)
+                  ~lut:true ~dw ~dc
+                  slice.(2 * i)
+                  slice.((2 * i) + 1)
               done;
               Some (dw, dc)
             end)
@@ -693,10 +728,10 @@ let train_stream ?pool ?(config = default_config) ~words ~contexts
       for shard = (if epoch = start_epoch then start_shard else 0)
                   to n_shards - 1 do
         let pairs = pairs_of_shard shard in
-        if Array.length pairs <> shard_sizes.(shard) then
+        if Array.length pairs <> 2 * shard_sizes.(shard) then
           invalid_arg "Sgns.train_stream: shard size changed under the trainer";
         (match pool with
-        | Some pool when jobs > 1 && Array.length pairs >= jobs ->
+        | Some pool when jobs > 1 && shard_sizes.(shard) >= jobs ->
             run_shard_pooled pool ~epoch ~shard pairs
         | _ -> run_shard_sequential ~epoch ~shard pairs);
         match on_shard with
@@ -728,13 +763,14 @@ let train_stream ?pool ?(config = default_config) ~words ~contexts
   }
 
 (* ---------------------------------------------------------------- *)
-(* The pre-flat-kernel trainer, kept verbatim (nested [float array
-   array] matrices, exact sigmoid, boxed per-row deltas) as the golden
-   baseline: [train ~sigmoid:`Exact] must reproduce it bitwise, and
-   [bench train] measures the flat kernel's speedup against it. *)
+(* The pre-flat-kernel trainer, its arithmetic kept verbatim (nested
+   [float array array] matrices, exact sigmoid, boxed per-row deltas)
+   as the golden baseline: [train ~sigmoid:`Exact] must reproduce it
+   bitwise, and [bench train] measures the flat kernel's speedup
+   against it. It reads the same flat id pairs as every trainer. *)
 module Reference = struct
-  let sgd_step config ~neg_table ~word_vecs ~context_vecs ~grad_w ~rng ~lr
-      (wi, ci) =
+  let sgd_step config ~neg_table ~word_vecs ~context_vecs ~grad_w ~rng ~lr wi
+      ci =
     let wv = word_vecs.(wi) in
     Array.fill grad_w 0 config.dim 0.;
     let update_pair cv label =
@@ -762,7 +798,7 @@ module Reference = struct
         d
 
   let sgd_step_delta config ~neg_table ~word_vecs ~context_vecs ~grad_w ~rng
-      ~lr ~dw ~dc (wi, ci) =
+      ~lr ~dw ~dc wi ci =
     let wv = word_vecs.(wi) in
     Array.fill grad_w 0 config.dim 0.;
     let update_pair cidx label =
@@ -794,30 +830,28 @@ module Reference = struct
       tbl
 
   let train_sequential config ~neg_table ~word_vecs ~context_vecs ~rng pairs =
-    let n_pairs = Array.length pairs in
+    let n_pairs = Array.length pairs / 2 in
     let total_steps = config.epochs * n_pairs in
-    let step = ref 0 in
     let grad_w = Array.make config.dim 0. in
-    for _epoch = 0 to config.epochs - 1 do
-      fisher_yates rng pairs;
-      Array.iter
-        (fun pair ->
-          incr step;
-          let lr = learning_rate_at config ~step:!step ~total:total_steps in
-          sgd_step config ~neg_table ~word_vecs ~context_vecs ~grad_w ~rng ~lr
-            pair)
-        pairs
+    for epoch = 0 to config.epochs - 1 do
+      shuffle_pairs rng pairs;
+      for i = 0 to n_pairs - 1 do
+        let step = (epoch * n_pairs) + i + 1 in
+        let lr = learning_rate_at config ~step ~total:total_steps in
+        sgd_step config ~neg_table ~word_vecs ~context_vecs ~grad_w ~rng ~lr
+          pairs.(2 * i)
+          pairs.((2 * i) + 1)
+      done
     done
 
   let train_sharded ~pool ~mode config ~neg_table ~word_vecs ~context_vecs
       pairs =
     let shards =
-      Parallel.chunk_ranges ~chunks:(Parallel.jobs pool) (Array.length pairs)
+      Parallel.chunk_ranges ~chunks:(Parallel.jobs pool)
+        (Array.length pairs / 2)
     in
     let k = Array.length shards in
-    let slices =
-      Array.map (fun (lo, hi) -> Array.sub pairs lo (hi - lo + 1)) shards
-    in
+    let slices = Array.map (sub_pairs pairs) shards in
     let rngs = Array.init k (fun s -> Random.State.make [| config.seed; s |]) in
     let shard_ids = Array.init k Fun.id in
     match mode with
@@ -826,26 +860,27 @@ module Reference = struct
           (Parallel.map ~pool
              (fun s ->
                let slice = slices.(s) and rng = rngs.(s) in
-               let total = config.epochs * Array.length slice in
-               let step = ref 0 in
+               let len = Array.length slice / 2 in
+               let total = config.epochs * len in
                let grad_w = Array.make config.dim 0. in
-               for _epoch = 0 to config.epochs - 1 do
-                 fisher_yates rng slice;
-                 Array.iter
-                   (fun pair ->
-                     incr step;
-                     let lr = learning_rate_at config ~step:!step ~total in
-                     sgd_step config ~neg_table ~word_vecs ~context_vecs
-                       ~grad_w ~rng ~lr pair)
-                   slice
+               for epoch = 0 to config.epochs - 1 do
+                 shuffle_pairs rng slice;
+                 for i = 0 to len - 1 do
+                   let step = (epoch * len) + i + 1 in
+                   let lr = learning_rate_at config ~step ~total in
+                   sgd_step config ~neg_table ~word_vecs ~context_vecs ~grad_w
+                     ~rng ~lr
+                     slice.(2 * i)
+                     slice.((2 * i) + 1)
+                 done
                done)
              shard_ids)
     | Deterministic ->
         let max_len =
-          Array.fold_left (fun acc sl -> max acc (Array.length sl)) 0 slices
+          Array.fold_left (fun acc sl -> max acc (Array.length sl / 2)) 0 slices
         in
         for epoch = 0 to config.epochs - 1 do
-          Array.iteri (fun s slice -> fisher_yates rngs.(s) slice) slices;
+          Array.iteri (fun s slice -> shuffle_pairs rngs.(s) slice) slices;
           let off = ref 0 in
           while !off < max_len do
             let lo = !off in
@@ -853,7 +888,7 @@ module Reference = struct
               Parallel.map ~pool
                 (fun s ->
                   let slice = slices.(s) and rng = rngs.(s) in
-                  let len = Array.length slice in
+                  let len = Array.length slice / 2 in
                   let hi = min len (lo + round_pairs_per_shard) in
                   if lo >= hi then None
                   else begin
@@ -864,7 +899,9 @@ module Reference = struct
                       let step = (epoch * len) + i + 1 in
                       let lr = learning_rate_at config ~step ~total in
                       sgd_step_delta config ~neg_table ~word_vecs
-                        ~context_vecs ~grad_w ~rng ~lr ~dw ~dc slice.(i)
+                        ~context_vecs ~grad_w ~rng ~lr ~dw ~dc
+                        slice.(2 * i)
+                        slice.((2 * i) + 1)
                     done;
                     Some (dw, dc)
                   end)

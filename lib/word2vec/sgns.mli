@@ -18,6 +18,21 @@ type config = {
 
 val default_config : config
 
+val max_dim : int
+(** 4096. *)
+
+val max_negatives : int
+(** 64. *)
+
+val config_error : config -> string option
+(** [Some msg] when [dim] lies outside [1, {!max_dim}] or [negatives]
+    outside [0, {!max_negatives}], naming the first such field and its
+    value; [None] otherwise. The training kernel sizes stack arrays
+    from both, so {!train} and {!train_stream} refuse such a config
+    with [Invalid_argument] before any training, and
+    {!Serialize} rejects a model or checkpoint carrying one as
+    [Corrupt_model]. *)
+
 type t = {
   config : config;
   words : Vocab.t;
@@ -54,11 +69,20 @@ val train :
     identical to {!Reference.train} (golden-tested).
 
     Without [pool] (or with a 1-job pool) this is the sequential
-    trainer. With a larger pool, pairs split into one contiguous shard
-    per job; shard [s] draws epoch shuffles and negatives from its own
-    [Random.State.make [| seed; s |]] and follows its own linear lr
-    schedule. [mode] (default [Deterministic]) picks the update
-    discipline. *)
+    trainer, and the one to use: with [`Lut] it runs the C slice
+    kernel, which every pooled mode on the hosts measured so far loses
+    to (the CLI calls both trainers without a pool, so its models are
+    the same at every [-j]). With a larger pool, pairs split into one
+    contiguous shard per job; shard [s] draws epoch shuffles and
+    negatives from its own [Random.State.make [| seed; s |]] and
+    follows its own linear lr schedule. [mode] (default
+    [Deterministic]) picks the update discipline.
+
+    Internally the id pairs are one flat [int array] (word, context,
+    word, context, ...), shuffled in place pair by pair.
+
+    Raises [Invalid_argument] when {!config_error} finds a field out of
+    range. *)
 
 (** {2 Out-of-core training} *)
 
@@ -87,15 +111,18 @@ val train_stream :
   words:Vocab.t ->
   contexts:Vocab.t ->
   shard_sizes:int array ->
-  pairs_of_shard:(int -> (int * int) array) ->
+  pairs_of_shard:(int -> int array) ->
   ?from:ckpt ->
   ?on_shard:(epoch:int -> shard:int -> ckpt -> unit) ->
   unit ->
   t
 (** Out-of-core {!train}: pairs arrive shard by shard as vocab id
-    pairs ([pairs_of_shard s] must return [shard_sizes.(s)] pairs,
-    same pairs in the same order on every call — shard files on disk
-    guarantee this) and at most one shard's array is live at a time.
+    pairs, flat ([pairs_of_shard s] must return the [shard_sizes.(s)]
+    pairs of shard [s] as one array of [2 * shard_sizes.(s)] ids, word
+    then context for each pair, the same pairs in the same order on
+    every call — shard files on disk guarantee this; the trainer
+    shuffles the array in place) and at most one shard's array is live
+    at a time.
     Vocabularies are built by the caller (stream the corpus through
     {!Vocab.Counter} for bounded memory) and fixed for the whole run.
 
@@ -109,11 +136,37 @@ val train_stream :
     model bit-identical to the uninterrupted run with the same job
     count. Averaging-free, so checkpoints need only matrices + cursor.
 
-    Raises [Invalid_argument] on an empty shard list, a cursor or
-    matrix shape that does not match, or a shard whose size changed. *)
+    Raises [Invalid_argument] on a config {!config_error} refuses, an
+    empty shard list, a cursor or matrix shape that does not match, or
+    a shard whose size changed. *)
+
+(** The C slice kernel behind the sequential [`Lut] trainers, exposed
+    for the kernel oracle test. [train_slice w c lut pairs neg_table
+    iparams fparams] runs steps [iparams.(2)] to [iparams.(3) - 1] of
+    one epoch over the flat matrices [w] and [c]; [pairs] is the flat
+    id-pair array, [neg_table] the negative-sampling table, and the
+    [iparams]/[fparams] layouts are documented in [sgns_stubs.c]. [dim]
+    and [negatives] must satisfy {!config_error}; nothing is checked. *)
+module Kernel : sig
+  val sigmoid_table : Float.Array.t
+  val lut_range : float
+  val lut_scale : float
+
+  external train_slice :
+    Float.Array.t ->
+    Float.Array.t ->
+    Float.Array.t ->
+    int array ->
+    int array ->
+    int array ->
+    Float.Array.t ->
+    unit = "caml_sgns_train_slice_bytes" "caml_sgns_train_slice"
+  [@@noalloc]
+end
 
 (** The pre-flat-kernel trainer (nested [float array array] matrices,
-    exact sigmoid), kept verbatim as the golden/benchmark baseline. *)
+    exact sigmoid), kept as the golden/benchmark baseline; it reads the
+    same flat id pairs as {!train}. *)
 module Reference : sig
   val train :
     ?pool:Parallel.pool ->

@@ -407,7 +407,7 @@ let w2v_ckpt_text =
      ignore
        (Word2vec.Sgns.train_stream ~config ~words ~contexts
           ~shard_sizes:[| 3 |]
-          ~pairs_of_shard:(fun _ -> [| (0, 0); (0, 1); (1, 0) |])
+          ~pairs_of_shard:(fun _ -> [| 0; 0; 0; 1; 1; 0 |])
           ~on_shard:(fun ~epoch:_ ~shard:_ ck ->
             if !image = "" then
               image := Word2vec.Serialize.checkpoint_to_string ck)

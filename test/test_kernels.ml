@@ -8,6 +8,9 @@
      sequentially and through the domain pool;
    - the sigmoid LUT must stay inside its documented error budget and
      must not change eval-level rankings on planted-cluster data;
+   - the C slice kernel, fused steps and fallback loop alike, leaves
+     both matrices bit-identical to the pre-fusion kernel kept in
+     test/sgns_oracle_stubs.c (qcheck, "kernel_oracle");
    - every trainer (pseudolikelihood perceptron, pseudolikelihood
      gradient, structured), sequentially and on a 2-job pool, gives
      byte-identical weights whether it scores from weight rows
@@ -614,6 +617,139 @@ let test_most_similar_scores () =
        (List.filteri (fun i _ -> i < 4) scores)
        (List.tl scores))
 
+(* ---------- SGNS: the fused slice kernel vs the pre-fusion one ---------- *)
+
+(* A random small problem for the C slice kernel, built from one seed:
+   a dim in 4..72 (three in four a multiple of 4, which the fused step
+   needs), 0..9 negatives, a negative table that is either wide or a
+   handful of entries (repeated negatives, negatives equal to the
+   positive), and 1..4 consecutive slices with their own LCG seeds (0
+   among them), run over the pairs twice. Pair 0's rows are a probe
+   whose dot product lands on 8 (the LUT's saturation edge) or just
+   under it depending on how its products round or in which order its
+   lanes are summed: the LUT hides a dot product's low bits from the
+   gradient anywhere else. *)
+let kernel_problem seed =
+  let rng = Random.State.make [| seed |] in
+  let int n = Random.State.int rng n in
+  let dim =
+    let d = 4 + int 69 in
+    if int 4 > 0 then max 4 (d - (d mod 4)) else d
+  in
+  let negatives = int 10 in
+  let nw = 1 + int 12 and nc = 1 + int 12 in
+  let scale = [| 0.05; 0.5; 2. |].(int 3) in
+  let matrix rows =
+    Float.Array.init (rows * dim) (fun _ ->
+        (Random.State.float rng 2. -. 1.) *. scale)
+  in
+  let w = matrix nw and c = matrix nc in
+  let neg_table =
+    if int 2 = 0 then Array.init (1 + int 6) (fun _ -> int (min nc 3))
+    else Array.init (50 + int 150) (fun _ -> int nc)
+  in
+  let n_pairs = 1 + int 150 in
+  let pairs = Array.init n_pairs (fun _ -> (int nw, int nc)) in
+  let wi, ci = pairs.(0) in
+  for d = 0 to dim - 1 do
+    Float.Array.set w ((wi * dim) + d) 0.;
+    Float.Array.set c ((ci * dim) + d) 0.
+  done;
+  let set_w d v = Float.Array.set w ((wi * dim) + d) v
+  and set_c d v = Float.Array.set c ((ci * dim) + d) v in
+  if dim >= 8 && int 2 = 0 then begin
+    (* lane j reads 8 at iteration i-1, then adds a product just beyond
+       -2^-51: 8 if the product is rounded first, 8 - 2^-50 if fused *)
+    let i = 1 + int ((dim / 4) - 1) and j = int 4 in
+    set_w ((4 * (i - 1)) + j) 1.;
+    set_c ((4 * (i - 1)) + j) 8.;
+    set_w ((4 * i) + j) 0x1.fffffffffffffp-27;
+    set_c ((4 * i) + j) (-0x1.0000000000001p-25)
+  end
+  else begin
+    (* lanes (8, 0, -2^-51, -2^-51) in some order: (s0 + s1) + (s2 + s3)
+       is 8 or 8 - 2^-50 depending on the order *)
+    let lanes = [| 8.; 0.; -0x1p-51; -0x1p-51 |] in
+    for k = 3 downto 1 do
+      let j = int (k + 1) in
+      let t = lanes.(k) in
+      lanes.(k) <- lanes.(j);
+      lanes.(j) <- t
+    done;
+    Array.iteri
+      (fun j v ->
+        set_w j 1.;
+        set_c j v)
+      lanes
+  end;
+  let cuts =
+    List.sort_uniq compare (List.init (int 4) (fun _ -> int n_pairs))
+  in
+  let bounds = (0 :: cuts) @ [ n_pairs ] in
+  let rec slices = function
+    | lo :: (hi :: _ as rest) -> (lo, hi) :: slices rest
+    | _ -> []
+  in
+  let runs =
+    List.concat_map
+      (fun epoch ->
+        List.map
+          (fun (lo, hi) ->
+            let seed = if int 5 = 0 then 0L else Random.State.bits64 rng in
+            (epoch, lo, hi, seed))
+          (slices bounds))
+      [ 0; 1 ]
+  in
+  let lr = 0.01 +. Random.State.float rng 0.5 in
+  (dim, negatives, w, c, neg_table, pairs, runs, lr)
+
+let run_kernel train_slice ~dim ~negatives ~w ~c ~neg_table ~pairs ~n_pairs
+    ~runs ~lr =
+  let w = Float.Array.copy w and c = Float.Array.copy c in
+  let fparams =
+    Word2vec.Sgns.Kernel.(Float.Array.of_list [ lr; lut_range; lut_scale ])
+  in
+  List.iter
+    (fun (epoch, lo, hi, seed) ->
+      let iparams =
+        [| dim; negatives; lo; hi; epoch * n_pairs; 2 * n_pairs;
+           Int64.to_int (Int64.logand seed 0xFFFFFFFFL);
+           Int64.to_int (Int64.shift_right_logical seed 32) |]
+      in
+      train_slice w c Word2vec.Sgns.Kernel.sigmoid_table pairs neg_table
+        iparams fparams)
+    runs;
+  (w, c)
+
+let float_bits fa = Float.Array.map_to_array Int64.bits_of_float fa
+
+(* The fused kernel leaves both matrices bit-identical to the
+   pre-fusion kernel it replaced (test/sgns_oracle_stubs.c, built with
+   the same flags). *)
+let prop_kernel_oracle =
+  QCheck.Test.make ~count:400 ~name:"kernel_oracle: fused slice kernel = pre-fusion kernel, bitwise"
+    QCheck.(int_bound 1_000_000_000)
+    (fun seed ->
+      let dim, negatives, w, c, neg_table, pairs, runs, lr =
+        kernel_problem seed
+      in
+      let n_pairs = Array.length pairs in
+      let flat = Array.make (2 * n_pairs) 0 in
+      Array.iteri
+        (fun i (wi, ci) ->
+          flat.(2 * i) <- wi;
+          flat.((2 * i) + 1) <- ci)
+        pairs;
+      let w1, c1 =
+        run_kernel Word2vec.Sgns.Kernel.train_slice ~dim ~negatives ~w ~c
+          ~neg_table ~pairs:flat ~n_pairs ~runs ~lr
+      in
+      let w0, c0 =
+        run_kernel Sgns_oracle.train_slice ~dim ~negatives ~w ~c ~neg_table
+          ~pairs ~n_pairs ~runs ~lr
+      in
+      float_bits w1 = float_bits w0 && float_bits c1 = float_bits c0)
+
 let () =
   Alcotest.run "kernels"
     [
@@ -646,5 +782,6 @@ let () =
             `Quick test_sgns_lut_ranking_agreement;
           Alcotest.test_case "most_similar scores are cosines" `Quick
             test_most_similar_scores;
+          QCheck_alcotest.to_alcotest prop_kernel_oracle;
         ] );
     ]

@@ -435,6 +435,79 @@ let test_sgns_checkpoint_rejects_reshard () =
             | _ -> false
             | exception Invalid_argument _ -> true)))
 
+(* A checkpoint or model whose config sizes the C kernel's stack
+   arrays out of range (negatives 10^8 or -3, dim 0) is refused, with
+   the field named, even when its framing and checksum are intact; the
+   trainers refuse such a config before any kernel call. *)
+let test_sgns_hostile_config_rejected () =
+  let contains hay needle =
+    let n = String.length needle in
+    let rec go i =
+      i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1))
+    in
+    go 0
+  in
+  with_temp_dir (fun dir ->
+      let plan = pair_plan ~dir ~per_shard:60 (sgns_pairs ~n:150 ~seed:5) in
+      let saved = ref None in
+      (* ck_w/ck_c alias the live matrices: only their shape is used *)
+      let model =
+        sgns_stream_model plan ~on_shard:(fun ~epoch:_ ~shard:_ ck ->
+            if !saved = None then saved := Some ck)
+      in
+      let ck = Option.get !saved in
+      List.iter
+        (fun (field, config) ->
+          let what = Option.value ~default:field (Word2vec.Sgns.config_error config) in
+          let named = function
+            | Ok _ -> false
+            | Error d ->
+                d.Lexkit.Diag.kind = Lexkit.Diag.Corrupt_model
+                && contains d.Lexkit.Diag.msg field
+          in
+          let dim = config.Word2vec.Sgns.dim in
+          let shrink fa vocab = Float.Array.sub fa 0 (Word2vec.Vocab.size vocab * dim) in
+          let image =
+            Word2vec.Serialize.checkpoint_to_string
+              { ck with
+                Word2vec.Sgns.ck_config = config;
+                ck_w = shrink ck.Word2vec.Sgns.ck_w ck.Word2vec.Sgns.ck_words;
+                ck_c = shrink ck.Word2vec.Sgns.ck_c ck.Word2vec.Sgns.ck_contexts }
+          in
+          check_bool ("checkpoint with " ^ what ^ " is a named Corrupt_model")
+            true
+            (named (Word2vec.Serialize.checkpoint_of_string image));
+          let rows = Array.map (fun r -> Array.sub r 0 dim) in
+          let m =
+            { model with
+              Word2vec.Sgns.config;
+              word_vecs = rows model.Word2vec.Sgns.word_vecs;
+              context_vecs = rows model.Word2vec.Sgns.context_vecs }
+          in
+          check_bool ("model with " ^ what ^ " is a named Corrupt_model") true
+            (named
+               (Word2vec.Serialize.of_string (Word2vec.Serialize.to_string m)));
+          let refused f =
+            match f () with
+            | _ -> false
+            | exception Invalid_argument msg -> contains msg field
+          in
+          check_bool ("train_stream refuses " ^ what) true
+            (refused (fun () ->
+                 Word2vec.Sgns.train_stream ~config
+                   ~words:plan.Pigeon.W2v_task.plan_words
+                   ~contexts:plan.Pigeon.W2v_task.plan_contexts
+                   ~shard_sizes:plan.Pigeon.W2v_task.plan_sizes
+                   ~pairs_of_shard:(Pigeon.W2v_task.plan_pairs plan) ()));
+          check_bool ("train refuses " ^ what) true
+            (refused (fun () ->
+                 Word2vec.Sgns.train ~config (sgns_pairs ~n:20 ~seed:5))))
+        [
+          ("negatives", { sgns_config with Word2vec.Sgns.negatives = 100_000_000 });
+          ("negatives", { sgns_config with Word2vec.Sgns.negatives = -3 });
+          ("dim", { sgns_config with Word2vec.Sgns.dim = 0 });
+        ])
+
 (* ---------- SIGKILL mid-checkpoint ---------- *)
 
 (* The checkpoint file is written atomically, so a SIGKILL anywhere in
@@ -514,5 +587,7 @@ let () =
             test_sgns_resume_every_boundary;
           Alcotest.test_case "re-sharded corpus rejected" `Quick
             test_sgns_checkpoint_rejects_reshard;
+          Alcotest.test_case "hostile config rejected" `Quick
+            test_sgns_hostile_config_rejected;
         ] );
     ]

@@ -26,7 +26,10 @@ let test_json_roundtrip () =
   (* \u escapes decode to UTF-8 and re-encode raw (canonical form). *)
   check_string "unicode escape" "\"\xc3\xa9\"" (roundtrip {|"é"|});
   check_string "integral floats print as ints" {|[0,-3,10000000]|}
-    (roundtrip {|[0.0,-3.0,1e7]|})
+    (roundtrip {|[0.0,-3.0,1e7]|});
+  (* a literal that overflows to infinity prints as valid JSON *)
+  check_string "overflowing numbers print as null" {|[null,null]|}
+    (roundtrip {|[11e308,-1e309]|})
 
 let test_json_rejects () =
   let bad s =
